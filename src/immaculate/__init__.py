@@ -5,7 +5,6 @@ diagrams and verified against independent determinant oracles.
 """
 
 from .compositions import (
-    allowable_flat_subsets,
     coarsen,
     coarsenings,
     compositions_of,
@@ -63,7 +62,6 @@ __all__ = [
     "TunnelHook",
     "TunnelHookCovering",
     "H_to_ribbon",
-    "allowable_flat_subsets",
     "apply_hook",
     "build_diagram",
     "coarsen",

@@ -37,6 +37,7 @@ from .verify import CHECKS, run_suite
 
 USAGE_ERROR = 1
 VERIFY_FAILURE = 2
+FORMATS = ("text", "json", "latex")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +60,7 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 def _default_format() -> str:
     fmt = os.environ.get("IMMACULATE_FORMAT", "text")
-    return fmt if fmt in ("text", "json", "latex") else "text"
+    return fmt if fmt in FORMATS else "text"
 
 
 def _emit(expr: BasisExpr, fmt: str, tag: Optional[str] = None) -> None:
@@ -78,12 +79,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="immaculate", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_format(p):
+        p.add_argument("--format", choices=FORMATS, default=_default_format())
+
     def add_common(p, skew=True):
         p.add_argument("--shape", type=_parse_shape, required=True)
         if skew:
             p.add_argument("--skew", type=_parse_shape, default=None)
-        p.add_argument("--format", choices=("text", "json", "latex"),
-                       default=_default_format())
+        add_format(p)
         p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K)
 
     expand = sub.add_parser("expand", help="expand a basis element")
@@ -104,22 +107,19 @@ def build_parser() -> _Parser:
                               help="product of two ribbon elements")
     p.add_argument("--shape", type=_parse_shape, required=True)
     p.add_argument("--times", type=_parse_shape, required=True)
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default=_default_format())
+    add_format(p)
 
     p = sub.add_parser("convert", help="convert a single H or R element")
     p.add_argument("--from", dest="src", choices=("H", "R"), required=True)
     p.add_argument("--to", dest="dst", choices=("H", "R"), required=True)
     p.add_argument("--shape", type=_parse_shape, required=True)
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default=_default_format())
+    add_format(p)
 
     p = sub.add_parser("straighten",
                        help="normalize a skew inner shape to a partition")
     p.add_argument("--shape", type=_parse_shape, required=True)
     p.add_argument("--skew", type=_parse_shape, required=True)
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default=_default_format())
+    add_format(p)
 
     p = sub.add_parser("decompose",
                        help="split off the bottom rows as H-prefixes")
@@ -152,7 +152,7 @@ def _cmd_expand_immaculate(args) -> int:
         expr = skew_immaculate_to_H(args.shape, args.skew, max_k=args.max_k)
         _emit(expr, args.format)
         return 0
-    if args.skew:
+    if args.skew and any(args.skew):
         print("error: ribbon expansion is only available for straight shapes",
               file=sys.stderr)
         return USAGE_ERROR
@@ -260,6 +260,10 @@ def _cmd_verify(args) -> int:
     names = None if args.suite == "all" else args.suite.split(",")
     overrides = {"seed": args.seed}
     if args.n is not None:
+        if args.n < 1:
+            print(f"error: --n must be at least 1, got {args.n}",
+                  file=sys.stderr)
+            return USAGE_ERROR
         overrides.update(max_n=args.n, comp_n=args.n)
     try:
         reports = run_suite(names, **overrides)

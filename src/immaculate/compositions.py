@@ -32,17 +32,6 @@ def is_partition(seq: Iterable[int]) -> bool:
     )
 
 
-def sort_to_partition(seq: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(seq, reverse=True))
-
-
-def pad(seq: Iterable[int], length: int, fill: int = 0) -> tuple[int, ...]:
-    seq = tuple(seq)
-    if len(seq) > length:
-        raise ValueError(f"sequence longer than target length {length}: {seq}")
-    return seq + (fill,) * (length - len(seq))
-
-
 def coarsen(alpha: tuple[int, ...], subset: Iterable[int]) -> tuple[int, ...]:
     """Merge adjacent parts of alpha across the gaps listed in subset.
 
@@ -70,24 +59,6 @@ def coarsenings(alpha: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], froze
             yield coarsen(alpha, subset), frozenset(subset)
 
 
-def refines(alpha: tuple[int, ...], beta: tuple[int, ...]) -> bool:
-    """True if beta is a coarsening of alpha (alpha refines beta)."""
-    if sum(alpha) != sum(beta):
-        return False
-    j = 0
-    acc = 0
-    for part in alpha:
-        if j >= len(beta):
-            return False
-        acc += part
-        if acc == beta[j]:
-            j += 1
-            acc = 0
-        elif acc > beta[j]:
-            return False
-    return j == len(beta) and acc == 0
-
-
 def flatten(delta: Iterable[int]) -> tuple[int, ...]:
     """Remove zero entries, keeping order. Entries must be nonnegative."""
     out = []
@@ -97,32 +68,6 @@ def flatten(delta: Iterable[int]) -> tuple[int, ...]:
         if d > 0:
             out.append(d)
     return tuple(out)
-
-
-def allowable_flat_subsets(
-    delta: tuple[int, ...], target: tuple[int, ...]
-) -> list[frozenset[int]]:
-    """Gap subsets S of delta with flatten(coarsen(delta, S)) == target.
-
-    Only subsets containing every forced gap are considered: a zero entry
-    delta[i] forces gap i so that the zero is absorbed into the part on
-    its left. The first entry must be positive so every zero has a left
-    neighbor to merge into.
-    """
-    if any(d < 0 for d in delta):
-        raise ValueError("delta must be nonnegative")
-    if delta and delta[0] == 0:
-        raise ValueError("first entry of delta must be positive")
-    k = len(delta)
-    forced = {i for i in range(1, k) if delta[i] == 0}
-    free = [g for g in range(1, k) if g not in forced]
-    hits = []
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            subset = forced | set(extra)
-            if flatten(coarsen(delta, subset)) == target:
-                hits.append(frozenset(subset))
-    return hits
 
 
 def lehmer_code(sigma: tuple[int, ...]) -> tuple[int, ...]:

@@ -9,18 +9,16 @@ of {1..k} via sigma_i = p_i - q_i + 1 on terminal cells (p_i, q_i).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .diagram import (
     Cell,
-    GbprDiagram,
     TunnelHook,
     apply_hook,
     build_diagram,
     make_tunnel_hook,
-    row_counts,
+    step,
 )
 
 DEFAULT_MAX_K = 10
@@ -56,23 +54,6 @@ def _check_bound(k: int, max_k: int) -> None:
         )
 
 
-def _hooks_of(diagram: GbprDiagram) -> list[TunnelHook]:
-    """All tunnel hooks of the diagram, bottom-up, sharing one boundary scan."""
-    boundary = sorted(diagram.boundary_cells())
-    s = diagram.start_row
-    _, b, c = diagram.counts(s)
-    hooks = []
-    for p, q in diagram.tunnel_cells():
-        cells = frozenset(cell for cell in boundary if cell[0] <= p)
-        eta = [0] * diagram.k
-        for row, _ in cells:
-            eta[row - 1] += 1
-        sign = -1 if (p - s) % 2 else 1
-        delta = (b - c) + (diagram.nu[s - 1] + 1 - q) + (p - s)
-        hooks.append(TunnelHook(s, (p, q), cells, tuple(eta), sign, delta))
-    return hooks
-
-
 def _finish(
     mu: tuple[int, ...], nu0: tuple[int, ...], hooks: tuple[TunnelHook, ...]
 ) -> TunnelHookCovering:
@@ -95,15 +76,17 @@ def enumerate_coverings(
     """Depth-first stream of all k! coverings, tunnel cells taken bottom-up."""
     start = build_diagram(mu, nu)
     _check_bound(start.k, max_k)
+    k = start.k
 
-    def walk(diagram: GbprDiagram, prefix: tuple[TunnelHook, ...]):
-        if diagram.is_exhausted():
+    def walk(nu_now: tuple[int, ...], s: int, prefix: tuple[TunnelHook, ...]):
+        if s > k:
             yield _finish(start.mu, start.nu, prefix)
             return
-        for hook in _hooks_of(diagram):
-            yield from walk(apply_hook(diagram, hook), prefix + (hook,))
+        for p in range(s, k + 1):
+            hook = TunnelHook.at(start.mu, nu_now, s, p)
+            yield from walk(hook.bumped, s + 1, prefix + (hook,))
 
-    yield from walk(start, ())
+    yield from walk(start.nu, 1, ())
 
 
 def covering_from_terminal_cells(
@@ -192,20 +175,8 @@ def delta_sign_stream(
         if s > k:
             yield deltas, sign
             return
-        _, b, c = row_counts(mu_t[s - 1], nu_now[s - 1])
-        spin = b - c
         for p in range(s, k + 1):
-            delta = spin + (nu_now[s - 1] - nu_now[p - 1]) + (p - s)
-            step_sign = -1 if (p - s) % 2 else 1
-            bumped = list(nu_now)
-            bumped[s - 1] += max(1, b + c)
-            for row in range(s + 1, p + 1):
-                bumped[row - 1] = nu_now[row - 2] + 1
-            yield from walk(tuple(bumped), s + 1, deltas + (delta,), sign * step_sign)
+            delta, step_sign, bumped = step(mu_t, nu_now, s, p)
+            yield from walk(bumped, s + 1, deltas + (delta,), sign * step_sign)
 
     yield from walk(start.nu, 1, (), 1)
-
-
-def covering_count(k: int) -> int:
-    """Number of coverings of any valid k-row shape."""
-    return math.factorial(k)

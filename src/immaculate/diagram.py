@@ -13,6 +13,19 @@ active rows are r+1 through k. Per active row i the counts are:
 so a_i + b_i - c_i = mu_i always, and no row has both blue and red.
 Everything else in the quadrant is implicitly purple; purple cells are
 never stored (the purple region is infinite).
+
+A tunnel hook from the start row s to the terminal row p has a closed
+form, computed once by `step`. Because a_s = nu_s and a_s + b_s - c_s =
+mu_s, it needs no colour counts or boundary scan:
+
+  delta     = mu_s - nu_p + (p - s)        (the H subscript it contributes)
+  sign      = (-1)^(p - s)
+  bumped_s  = nu_s + max(1, |mu_s - nu_s|)
+  bumped_r  = nu_{r-1} + 1                 for s < r <= p
+
+and every other row of nu is unchanged. `boundary_cells` keeps the
+paper's cell-by-cell definition as the reference the rule is checked
+against.
 """
 
 from __future__ import annotations
@@ -95,22 +108,39 @@ class GbprDiagram:
         return [(p, self.nu[p - 1] + 1) for p in range(self.start_row, self.k + 1)]
 
 
+def pad_pair(
+    mu: Iterable[int], nu: Optional[Iterable[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Zero-pad the shorter of mu, nu on the right."""
+    mu = tuple(mu)
+    nu = tuple(nu) if nu is not None else ()
+    k = max(len(mu), len(nu))
+    return mu + (0,) * (k - len(mu)), nu + (0,) * (k - len(nu))
+
+
 def build_diagram(
     mu: Iterable[int], nu: Optional[Iterable[int]] = None, offset: int = 0
 ) -> GbprDiagram:
-    """Diagram for mu over nu, zero-padding nu on the right to len(mu)."""
-    mu = tuple(mu)
-    nu = tuple(nu) if nu is not None else ()
-    if len(nu) > len(mu):
-        raise ValueError("nu longer than mu")
-    nu = nu + (0,) * (len(mu) - len(nu))
-    return GbprDiagram(mu, nu, offset)
+    """Diagram for mu over nu, the shorter one zero-padded on the right."""
+    return GbprDiagram(*pad_pair(mu, nu), offset)
+
+
+def step(
+    mu: tuple[int, ...], nu: tuple[int, ...], s: int, p: int
+) -> tuple[int, int, tuple[int, ...]]:
+    """(delta, sign, bumped nu) of the tunnel hook from row s to row p."""
+    bumped = list(nu)
+    bumped[s - 1] += max(1, abs(mu[s - 1] - nu[s - 1]))
+    for r in range(s + 1, p + 1):
+        bumped[r - 1] = nu[r - 2] + 1
+    return mu[s - 1] - nu[p - 1] + p - s, -1 if (p - s) % 2 else 1, tuple(bumped)
 
 
 @dataclass(frozen=True)
 class TunnelHook:
-    """All boundary cells in rows start_row..p for a tunnel cell (p, q).
+    """The boundary cells in rows start_row..p for a tunnel cell (p, q).
 
+    nu is the inner shape before the hook and bumped the one after it.
     eta[i-1] counts the covered cells in row i. delta is the H-subscript
     the hook contributes: spin of the start row plus the taxicab distance
     from the start row's tunnel cell to the terminal.
@@ -118,26 +148,36 @@ class TunnelHook:
 
     start_row: int
     terminal: Cell
-    cells: frozenset[Cell]
-    eta: tuple[int, ...]
     sign: int
     delta: int
+    nu: tuple[int, ...]
+    bumped: tuple[int, ...]
+
+    @classmethod
+    def at(
+        cls, mu: tuple[int, ...], nu: tuple[int, ...], s: int, p: int
+    ) -> "TunnelHook":
+        """The hook from row s to row p of mu over nu, through `step`."""
+        delta, sign, bumped = step(mu, nu, s, p)
+        return cls(s, (p, nu[p - 1] + 1), sign, delta, nu, bumped)
+
+    @property
+    def eta(self) -> tuple[int, ...]:
+        return tuple(b - n for b, n in zip(self.bumped, self.nu))
+
+    @property
+    def cells(self) -> frozenset[Cell]:
+        return frozenset(
+            (i, q)
+            for i in range(self.start_row, self.terminal[0] + 1)
+            for q in range(self.nu[i - 1] + 1, self.bumped[i - 1] + 1)
+        )
 
 
 def make_tunnel_hook(diagram: GbprDiagram, tau: Cell) -> TunnelHook:
     if tau not in diagram.tunnel_cells():
         raise ValueError(f"{tau} is not a tunnel cell of the diagram")
-    s = diagram.start_row
-    p, q = tau
-    boundary = diagram.boundary_cells()
-    cells = frozenset(c for c in boundary if c[0] <= p)
-    eta = [0] * diagram.k
-    for row, _ in cells:
-        eta[row - 1] += 1
-    _, b, c = diagram.counts(s)
-    sign = -1 if (p - s) % 2 else 1
-    delta = (b - c) + (diagram.nu[s - 1] + 1 - q) + (p - s)
-    return TunnelHook(s, tau, cells, tuple(eta), sign, delta)
+    return TunnelHook.at(diagram.mu, diagram.nu, diagram.start_row, tau[0])
 
 
 def apply_hook(diagram: GbprDiagram, hook: TunnelHook) -> GbprDiagram:
@@ -191,22 +231,25 @@ def render(
     hook's terminal, sign, and delta.
     """
     overlay = overlay or []
+    if len(overlay) > len(_OVERLAY_MARKS):
+        raise ValueError(
+            f"cannot overlay {len(overlay)} hooks: only "
+            f"{len(_OVERLAY_MARKS)} distinct marks"
+        )
     width = max(
         [_row_width(diagram, i) for i in range(1, diagram.k + 1)]
         + [q for h in overlay for _, q in h.cells]
         + [1]
     )
     grid = {i: _row_letters(diagram, i, width) for i in range(1, diagram.k + 1)}
-    for n, hook in enumerate(overlay):
-        mark = _OVERLAY_MARKS[n % len(_OVERLAY_MARKS)]
+    for mark, hook in zip(_OVERLAY_MARKS, overlay):
         for row, col in hook.cells:
             grid[row][col - 1] = mark
     lines = []
     if fmt == "ascii":
         for i in range(diagram.k, 0, -1):
             lines.append(f"row {i:>2}: " + "".join(grid[i]))
-        for n, hook in enumerate(overlay):
-            mark = _OVERLAY_MARKS[n % len(_OVERLAY_MARKS)]
+        for mark, hook in zip(_OVERLAY_MARKS, overlay):
             sign = "+" if hook.sign > 0 else "-"
             lines.append(
                 f"hook {mark}: start row {hook.start_row}, "

@@ -18,18 +18,10 @@ from .compositions import (
     linear_sign,
 )
 from .coverings import DEFAULT_MAX_K, delta_sign_stream
-from .diagram import apply_hook, build_diagram, make_tunnel_hook
+from .diagram import apply_hook, build_diagram, make_tunnel_hook, pad_pair
 from .expr import BasisExpr, normalize_h_index
 
 IntSeq = tuple[int, ...]
-
-
-def _pad_pair(mu: Iterable[int], nu: Optional[Iterable[int]]) -> tuple[IntSeq, IntSeq]:
-    """Zero-pad the shorter of mu, nu on the right."""
-    mu = tuple(mu)
-    nu = tuple(nu) if nu is not None else ()
-    k = max(len(mu), len(nu))
-    return mu + (0,) * (k - len(mu)), nu + (0,) * (k - len(nu))
 
 
 def _fold_coverings(mu: IntSeq, nu: IntSeq, max_k: int) -> BasisExpr:
@@ -62,7 +54,7 @@ def straighten_skew(
     corresponding matrix columns. An adjacent rise by exactly one makes
     two columns equal, so the element is zero.
     """
-    mu, nu = _pad_pair(mu, nu)
+    mu, nu = pad_pair(mu, nu)
     if nu and min(nu) < 0:
         shift = -min(nu)
         mu = tuple(m + shift for m in mu)
@@ -88,7 +80,7 @@ def skew_immaculate_to_H(
     max_k: int = DEFAULT_MAX_K,
 ) -> BasisExpr:
     """H-expansion of the skew element mu/nu for arbitrary integer nu."""
-    mu, nu = _pad_pair(mu, nu)
+    mu, nu = pad_pair(mu, nu)
     if not mu:
         return BasisExpr.unit("H")
     if min(nu, default=0) >= 0 and all(
@@ -121,13 +113,14 @@ def skew_prefix_decomposition(
     out = []
     for pi in linear_permutations(k, m):
         diagram = build_diagram(mu)
+        prefix = []
         for r, value in enumerate(pi):
             shift = sum(1 for earlier in pi[:r] if earlier > value)
             hook = make_tunnel_hook(diagram, (value + shift, 1 + shift))
+            prefix.append(hook.delta)
             diagram = apply_hook(diagram, hook)
-        prefix = tuple(mu[i] - (i + 1) + pi[i] for i in range(m))
         tail = (mu[m:], diagram.nu[m:])
-        out.append((linear_sign(pi, k), prefix, tail))
+        out.append((linear_sign(pi, k), tuple(prefix), tail))
     return out
 
 

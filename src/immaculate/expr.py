@@ -143,22 +143,6 @@ class BasisExpr:
                 terms[index] = terms.get(index, 0) + cl * cr
         return BasisExpr(self.basis, terms)
 
-    def map_indices(self, fn) -> "BasisExpr":
-        """Linear extension of an index map ``fn: Index -> Index | None``.
-
-        Returning None from fn kills the term."""
-        terms: dict[Index, int] = {}
-        for index, coeff in self._terms.items():
-            image = fn(index)
-            if image is None:
-                continue
-            image = tuple(image)
-            terms[image] = terms.get(image, 0) + coeff
-        return BasisExpr(self.basis, terms)
-
-    def relabel(self, basis: str) -> "BasisExpr":
-        return BasisExpr(basis, self._terms)
-
     # -- rendering ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -219,11 +203,7 @@ class BasisExpr:
             else:
                 lead = f"{mag}\\,{body}"
             parts.append(("-" if coeff < 0 else "+", lead))
-        sign, first = parts[0]
-        out = first if sign == "+" else f"-{first}"
-        for sign, chunk in parts[1:]:
-            out += f" {sign} {chunk}"
-        return out
+        return self._join_signed(parts)
 
     def __repr__(self) -> str:
         return f"BasisExpr({self.basis!r}, {dict(sorted(self._terms.items()))!r})"

@@ -63,6 +63,13 @@ def test_expand_ribbon_in_class_untagged(capsys):
     assert out.strip() == "R(2,2) - R(3,1)"
 
 
+def test_expand_ribbon_zero_skew_is_straight(capsys):
+    code, out, _ = run(capsys, "expand", "immaculate", "--shape", "2,2",
+                       "--skew", "0,0", "--basis", "R")
+    assert code == 0
+    assert out.strip() == "R(2,2) - R(3,1)"
+
+
 def test_expand_monomial(capsys):
     code, out, _ = run(capsys, "expand", "monomial", "--shape", "2")
     assert code == 0
@@ -116,6 +123,27 @@ def test_thc_list(capsys):
     assert lines[0]["delta"] == [3, 1, 3] and lines[0]["sign"] == 1
 
 
+def test_thc_list_pads_short_shape(capsys):
+    # an inner shape longer than the shape pads the shape with zero rows,
+    # in thc list as in expand
+    from immaculate.expr import BasisExpr, normalize_h_index
+
+    code, out, _ = run(capsys, "thc", "list", "--shape", "2,1",
+                       "--skew", "1,0,0", "--format", "json")
+    assert code == 0
+    terms = {}
+    for line in out.splitlines():
+        covering = json.loads(line)
+        index = normalize_h_index(covering["delta"])
+        if index is not None:
+            terms[index] = terms.get(index, 0) + covering["sign"]
+    code, out, _ = run(capsys, "expand", "immaculate", "--shape", "2,1",
+                       "--skew", "1,0,0", "--format", "json")
+    assert code == 0
+    expected = BasisExpr.from_json_dict(json.loads(out))
+    assert BasisExpr("H", terms) == expected == BasisExpr.term("H", (1, 1))
+
+
 def test_thc_render(capsys):
     code, out, _ = run(capsys, "thc", "render", "--shape", "3,1,3")
     assert code == 0
@@ -132,10 +160,30 @@ def test_thc_render_overlay(capsys):
     assert "hook 1" in out and "delta 4" in out
 
 
+def test_thc_render_too_many_hooks(capsys):
+    # 35 overlay marks: the 35th hook is drawn, a 36th is an error
+    for k in (35, 36):
+        code, out, err = run(capsys, "thc", "render",
+                             "--shape", ",".join(["1"] * k),
+                             "--sigma", ",".join(map(str, range(1, k + 1))),
+                             "--max-k", str(k))
+        if k == 35:
+            assert code == 0 and "hook z:" in out
+        else:
+            assert code == 1 and out == "" and "marks" in err
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "golden,replay")
     assert code == 0
     assert "golden" in out and "pass" in out
+
+
+@pytest.mark.parametrize("n, suite", [("-3", "oracle"), ("0", "duality,ribbon")])
+def test_verify_rejects_nonpositive_n(capsys, n, suite):
+    code, out, err = run(capsys, "verify", "--n", n, "--suite", suite)
+    assert code == 1 and out == ""
+    assert "--n" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,9 +1,8 @@
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 
 from immaculate.compositions import (
-    allowable_flat_subsets,
     coarsen,
     coarsenings,
     compositions_of,
@@ -13,7 +12,6 @@ from immaculate.compositions import (
     linear_permutations,
     linear_sign,
     permutation_sign,
-    refines,
 )
 
 
@@ -55,14 +53,6 @@ def test_coarsenings_count_and_distinct():
         assert len(set(results)) == len(results)
 
 
-def test_refines_matches_coarsenings():
-    for alpha in [(1, 2, 1), (3, 1), (2, 2)]:
-        cos = {c for c, _ in coarsenings(alpha)}
-        for n in range(sum(alpha) + 1):
-            for beta in compositions_of(n):
-                assert refines(alpha, beta) == (beta in cos)
-
-
 def test_flatten():
     assert flatten((5, 0, 3, 0, 1, 5, 0, 4)) == (5, 3, 1, 5, 4)
     assert flatten((2, 1, 2)) == (2, 1, 2)
@@ -72,27 +62,6 @@ def test_flatten():
 def test_flatten_rejects_negative():
     with pytest.raises(ValueError):
         flatten((1, -1))
-
-
-def test_allowable_flat_subsets_example():
-    delta = (5, 0, 3, 0, 1, 5, 0, 4)
-    assert allowable_flat_subsets(delta, (5, 3, 1, 9)) == [frozenset({1, 3, 6, 7})]
-    assert allowable_flat_subsets(delta, (5, 3, 1, 5, 4)) == [frozenset({1, 3, 6})]
-
-
-def test_allowable_flat_subsets_no_zeros():
-    assert allowable_flat_subsets((2, 1, 2), (2, 1, 2)) == [frozenset()]
-
-
-def test_allowable_flat_subsets_uniqueness():
-    # every coarsening of the flattening is hit by exactly one subset
-    for length in range(1, 7):
-        for delta in product((0, 1, 2), repeat=length):
-            if delta[0] == 0:
-                continue
-            for target, _ in coarsenings(flatten(delta)):
-                hits = allowable_flat_subsets(delta, target)
-                assert len(hits) == 1, (delta, target, hits)
 
 
 def test_lehmer_example():

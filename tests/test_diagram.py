@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from immaculate.diagram import (
@@ -7,6 +9,7 @@ from immaculate.diagram import (
     make_tunnel_hook,
     render,
     row_counts,
+    step,
 )
 
 # the running seven-row skew example, offset 2
@@ -48,6 +51,11 @@ def test_row_invariant():
         a, b, c = d.counts(i)
         assert a + b - c == MU7[i - 1]
         assert b * c == 0
+
+
+def test_build_diagram_pads_short_mu():
+    d = build_diagram((2, 1), (1, 0, 0))
+    assert d.mu == (2, 1, 0) and d.nu == (1, 0, 0)
 
 
 def test_validation_rejects_rising_tail():
@@ -102,6 +110,28 @@ def test_hook_delta_examples():
         hook = make_tunnel_hook(d, tau)
         assert hook.delta == delta
         assert hook.sign == (-1) ** (tau[0] - 3)
+
+
+def test_step_matches_boundary_cells():
+    # the closed form against the paper's spin-plus-taxicab delta and the
+    # boundary cells the hook covers, on random diagrams with an offset
+    rng = random.Random(11)
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        offset = rng.randint(0, k - 1)
+        mu = tuple(rng.randint(-4, 6) for _ in range(k))
+        head = tuple(rng.randint(0, 5) for _ in range(offset))
+        tail = sorted((rng.randint(0, 5) for _ in range(k - offset)), reverse=True)
+        d = GbprDiagram(mu, head + tuple(tail), offset)
+        s = d.start_row
+        _, b, c = d.counts(s)
+        boundary = d.boundary_cells()
+        for p, q in d.tunnel_cells():
+            delta, sign, bumped = step(d.mu, d.nu, s, p)
+            assert delta == (b - c) + (d.nu[s - 1] + 1 - q) + (p - s)
+            assert sign == (-1) ** (p - s)
+            covered = [row for row, _ in boundary if row <= p]
+            assert bumped == tuple(n + covered.count(i) for i, n in enumerate(d.nu, 1))
 
 
 def test_hook_single_row():
