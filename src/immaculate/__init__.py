@@ -8,10 +8,7 @@ from .compositions import (
     coarsen,
     coarsenings,
     compositions_of,
-    flatten,
     lehmer_code,
-    linear_permutations,
-    linear_sign,
     permutation_sign,
 )
 from .coverings import (
@@ -72,15 +69,12 @@ __all__ = [
     "covering_from_terminal_cells",
     "duality_transpose_check",
     "enumerate_coverings",
-    "flatten",
     "forgetful_to_h",
     "im2rib_class",
     "immaculate_to_H",
     "immaculate_to_ribbon_direct",
     "jacobi_trudi_matrix",
     "lehmer_code",
-    "linear_permutations",
-    "linear_sign",
     "make_tunnel_hook",
     "monomial_to_dual_immaculate",
     "ndet_expand",

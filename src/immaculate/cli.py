@@ -1,9 +1,10 @@
 """Command line interface.
 
 Shapes are comma-separated integers (negatives allowed), e.g. `3,1,3` or
-`-1,3,2`. Skew inner shapes go through `--skew`. Output format comes from
-`--format` or the IMMACULATE_FORMAT environment variable (text, json, or
-latex; default text).
+`-1,3,2`; `--shape -1,3,2` and `--shape=-1,3,2` are the same. Skew inner
+shapes go through `--skew`. Output format comes from `--format` or the
+IMMACULATE_FORMAT environment variable (text, json, or latex; default
+text).
 
 Exit codes: 0 success, 1 usage error, 2 verification failure.
 """
@@ -13,13 +14,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
-from .coverings import DEFAULT_MAX_K, enumerate_coverings
+from .coverings import (
+    DEFAULT_MAX_K,
+    covering_from_permutation,
+    enumerate_coverings,
+)
 from .diagram import build_diagram, render
 from .expansions import (
-    immaculate_to_H,
+    inner_is_partition,
     monomial_to_dual_immaculate,
     skew_immaculate_to_H,
     skew_prefix_decomposition,
@@ -38,6 +44,7 @@ from .verify import CHECKS, run_suite
 USAGE_ERROR = 1
 VERIFY_FAILURE = 2
 FORMATS = ("text", "json", "latex")
+SHAPE_OPTIONS = ("--shape", "--skew", "--times", "--sigma")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,6 +63,17 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"shape must be comma-separated integers, got {text!r}"
         )
+
+
+def _attach_negative_shapes(argv: list[str]) -> list[str]:
+    """`--shape -3,1` -> `--shape=-3,1`; argparse reads -3,1 as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in SHAPE_OPTIONS and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _default_format() -> str:
@@ -204,12 +222,8 @@ def _cmd_straighten(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    try:
-        entries = skew_prefix_decomposition(args.shape, args.prefix,
-                                            max_k=args.max_k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    entries = skew_prefix_decomposition(args.shape, args.prefix,
+                                        max_k=args.max_k)
     if args.format == "json":
         print(json.dumps([
             {"sign": sign, "prefix": list(prefix),
@@ -226,7 +240,18 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _check_inner_shape(args) -> None:
+    """thc draws the diagram itself, so its inner shape must be a partition."""
+    if args.skew is not None and not inner_is_partition(args.skew):
+        shape, skew = (",".join(map(str, s)) for s in (args.shape, args.skew))
+        raise ValueError(
+            f"inner shape {skew} is not a partition (nonnegative, weakly "
+            f"decreasing); run `immaculate straighten --shape {shape} --skew "
+            f"{skew}` for an equal shape whose inner shape is one")
+
+
 def _cmd_thc_list(args) -> int:
+    _check_inner_shape(args)
     for covering in enumerate_coverings(args.shape, args.skew,
                                         max_k=args.max_k):
         if args.format == "json":
@@ -240,11 +265,10 @@ def _cmd_thc_list(args) -> int:
 
 
 def _cmd_thc_render(args) -> int:
+    _check_inner_shape(args)
     diagram = build_diagram(args.shape, args.skew)
     overlay = None
     if args.sigma is not None:
-        from .coverings import covering_from_permutation
-
         if args.skew and any(args.skew):
             print("error: --sigma requires an empty inner shape",
                   file=sys.stderr)
@@ -280,8 +304,9 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_shapes(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

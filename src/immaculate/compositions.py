@@ -8,7 +8,7 @@ and refer to the gaps between adjacent parts, so S is a subset of
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -59,17 +59,6 @@ def coarsenings(alpha: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], froze
             yield coarsen(alpha, subset), frozenset(subset)
 
 
-def flatten(delta: Iterable[int]) -> tuple[int, ...]:
-    """Remove zero entries, keeping order. Entries must be nonnegative."""
-    out = []
-    for d in delta:
-        if d < 0:
-            raise ValueError(f"cannot flatten sequence with negative entry: {d}")
-        if d > 0:
-            out.append(d)
-    return tuple(out)
-
-
 def lehmer_code(sigma: tuple[int, ...]) -> tuple[int, ...]:
     """Inversion table: entry i counts later values smaller than sigma[i]."""
     return tuple(
@@ -80,27 +69,3 @@ def lehmer_code(sigma: tuple[int, ...]) -> tuple[int, ...]:
 
 def permutation_sign(sigma: tuple[int, ...]) -> int:
     return -1 if sum(lehmer_code(sigma)) % 2 else 1
-
-
-def linear_permutations(k: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Ordered m-arrangements of {1, ..., k}."""
-    if not 0 <= m <= k:
-        raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
-    yield from permutations(range(1, k + 1), m)
-
-
-def linear_sign(pi: tuple[int, ...], k: int) -> int:
-    """Sign of the m-arrangement pi of {1, ..., k}.
-
-    Counts inversions within pi plus, for each entry, the unused values it
-    exceeds. Restricts to the usual sign when m = k.
-    """
-    inv = sum(
-        1
-        for i in range(len(pi))
-        for j in range(i + 1, len(pi))
-        if pi[i] > pi[j]
-    )
-    unused = set(range(1, k + 1)) - set(pi)
-    skipped = sum(1 for v in pi for q in unused if v > q)
-    return -1 if (inv + skipped) % 2 else 1

@@ -159,21 +159,26 @@ def delta_sign_stream(
     mu: Iterable[int],
     nu: Optional[Iterable[int]] = None,
     *,
+    depth: Optional[int] = None,
     max_k: int = DEFAULT_MAX_K,
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(delta_seq, total_sign) per covering, without materializing hooks.
+) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """(delta_seq, sign, nu_after) per covering of the bottom depth rows.
 
-    Same order as enumerate_coverings; used by the expansion folds where
-    only the value sequence and sign matter.
+    depth defaults to all k rows; nu_after is the inner shape once those
+    hooks are absorbed. Same order as enumerate_coverings, without
+    materializing hooks: every expansion fold reads this one walk.
     """
     start = build_diagram(mu, nu)
     _check_bound(start.k, max_k)
     k = start.k
+    stop = k if depth is None else depth
+    if not 0 <= stop <= k:
+        raise ValueError(f"need 0 <= depth <= {k}, got {depth}")
     mu_t = start.mu
 
     def walk(nu_now: tuple[int, ...], s: int, deltas: tuple[int, ...], sign: int):
-        if s > k:
-            yield deltas, sign
+        if s > stop:
+            yield deltas, sign, nu_now
             return
         for p in range(s, k + 1):
             delta, step_sign, bumped = step(mu_t, nu_now, s, p)

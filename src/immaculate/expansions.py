@@ -11,35 +11,33 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .compositions import (
-    compositions_of,
-    flatten,
-    linear_permutations,
-    linear_sign,
-)
+from .compositions import compositions_of, is_partition
 from .coverings import DEFAULT_MAX_K, delta_sign_stream
-from .diagram import apply_hook, build_diagram, make_tunnel_hook, pad_pair
+from .diagram import pad_pair
 from .expr import BasisExpr, normalize_h_index
 
 IntSeq = tuple[int, ...]
 
 
-def _fold_coverings(mu: IntSeq, nu: IntSeq, max_k: int) -> BasisExpr:
+def _fold_coverings(mu: IntSeq, nu: IntSeq, max_k: int) -> dict[IntSeq, int]:
+    """Normalized H index -> summed sign over all coverings of mu/nu."""
     terms: dict[IntSeq, int] = {}
-    for delta, sign in delta_sign_stream(mu, nu, max_k=max_k):
+    for delta, sign, _ in delta_sign_stream(mu, nu, max_k=max_k):
         index = normalize_h_index(delta)
-        if index is None:
-            continue
-        terms[index] = terms.get(index, 0) + sign
-    return BasisExpr("H", terms)
+        if index is not None:
+            terms[index] = terms.get(index, 0) + sign
+    return terms
+
+
+def inner_is_partition(nu: Iterable[int]) -> bool:
+    """Nonnegative and weakly decreasing: mu/nu needs no straightening."""
+    return is_partition(part + 1 for part in nu)
 
 
 def immaculate_to_H(mu: Iterable[int], *, max_k: int = DEFAULT_MAX_K) -> BasisExpr:
     """H-expansion of the immaculate element indexed by the sequence mu."""
     mu = tuple(mu)
-    if not mu:
-        return BasisExpr.unit("H")
-    return _fold_coverings(mu, (0,) * len(mu), max_k)
+    return BasisExpr("H", _fold_coverings(mu, (0,) * len(mu), max_k))
 
 
 def straighten_skew(
@@ -81,16 +79,12 @@ def skew_immaculate_to_H(
 ) -> BasisExpr:
     """H-expansion of the skew element mu/nu for arbitrary integer nu."""
     mu, nu = pad_pair(mu, nu)
-    if not mu:
-        return BasisExpr.unit("H")
-    if min(nu, default=0) >= 0 and all(
-        nu[i] >= nu[i + 1] for i in range(len(nu) - 1)
-    ):
-        return _fold_coverings(mu, nu, max_k)
+    if inner_is_partition(nu):
+        return BasisExpr("H", _fold_coverings(mu, nu, max_k))
     sign, mu, nu = straighten_skew(mu, nu)
     if sign == 0:
         return BasisExpr.zero("H")
-    return sign * _fold_coverings(mu, nu, max_k)
+    return sign * BasisExpr("H", _fold_coverings(mu, nu, max_k))
 
 
 def skew_prefix_decomposition(
@@ -98,30 +92,21 @@ def skew_prefix_decomposition(
 ) -> list[tuple[int, IntSeq, tuple[IntSeq, IntSeq]]]:
     """Split off the bottom m rows of the straight shape mu.
 
-    One entry (sign, prefix, (mu_tail, nu_tail)) per ordered m-arrangement
-    pi of {1..k}: the prefix holds the H-subscripts mu_i - i + pi_i of the
-    first m hooks, and the tail shape is what their removal leaves behind.
-    Multiplying H(prefix) by the skew expansion of each tail shape and
-    summing with signs reassembles the full H-expansion of mu.
+    The covering walk cut after m hooks: one entry (sign, prefix,
+    (mu_tail, nu_tail)) per ordered m-arrangement pi of {1..k}, in
+    lexicographic order, as hook r ends as many rows above its start as
+    pi_r ranks among the unused values. The prefix holds the hooks'
+    H-subscripts mu_i - i + pi_i and the tail is what they leave. Summing
+    sign * H(prefix) * (skew expansion of the tail) gives that of mu.
     """
     mu = tuple(mu)
     k = len(mu)
     if not 1 <= m <= k:
         raise ValueError(f"need 1 <= m <= {k}, got {m}")
-    if k > max_k:
-        raise ValueError(f"shape has {k} rows; limit is {max_k}")
-    out = []
-    for pi in linear_permutations(k, m):
-        diagram = build_diagram(mu)
-        prefix = []
-        for r, value in enumerate(pi):
-            shift = sum(1 for earlier in pi[:r] if earlier > value)
-            hook = make_tunnel_hook(diagram, (value + shift, 1 + shift))
-            prefix.append(hook.delta)
-            diagram = apply_hook(diagram, hook)
-        tail = (mu[m:], diagram.nu[m:])
-        out.append((linear_sign(pi, k), tuple(prefix), tail))
-    return out
+    return [
+        (sign, prefix, (mu[m:], nu_after[m:]))
+        for prefix, sign, nu_after in delta_sign_stream(mu, depth=m, max_k=max_k)
+    ]
 
 
 def monomial_to_dual_immaculate(
@@ -129,9 +114,9 @@ def monomial_to_dual_immaculate(
 ) -> BasisExpr:
     """Expansion of a monomial quasisymmetric element into the dual basis.
 
-    Scans every composition mu of |alpha| and every covering of the
-    straight shape mu; a covering contributes its sign to the coefficient
-    of mu when its value sequence is nonnegative and flattens to alpha.
+    By duality the coefficient of dI_mu in M_alpha is the coefficient of
+    H_alpha in the immaculate element at mu, so it is read off the covering
+    fold of every composition mu of |alpha|.
     """
     alpha = tuple(alpha)
     if any(a < 1 for a in alpha):
@@ -139,15 +124,10 @@ def monomial_to_dual_immaculate(
     n = sum(alpha)
     if n > max_k:
         raise ValueError(f"|alpha| = {n} exceeds the bound {max_k}")
-    terms: dict[IntSeq, int] = {}
-    for mu in compositions_of(n):
-        coeff = 0
-        for delta, sign in delta_sign_stream(mu, max_k=max_k):
-            if all(d >= 0 for d in delta) and flatten(delta) == alpha:
-                coeff += sign
-        if coeff:
-            terms[mu] = coeff
-    return BasisExpr("dI", terms)
+    return BasisExpr("dI", {
+        mu: _fold_coverings(mu, (0,) * len(mu), max_k).get(alpha, 0)
+        for mu in compositions_of(n)
+    })
 
 
 def forgetful_to_h(expr: BasisExpr) -> BasisExpr:

@@ -1,20 +1,51 @@
 """Independent ground truth: determinant expansions and the duality check.
 
-These never touch the covering machinery. The noncommutative determinant
-is the signed sum over permutations with the factors of each monomial
-taken row by row from the top, which is what sequential top-row Laplace
-expansion produces.
+These never touch the covering machinery, and share no code with it: the
+permutation sign, subscript normalization and composition listing are
+written here again on purpose. Only the `BasisExpr` container comes from
+the package. The noncommutative determinant is the signed sum over
+permutations with the factors of each monomial taken row by row from the
+top, which is what sequential top-row Laplace expansion produces.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .compositions import compositions_of, permutation_sign
-from .expr import BasisExpr, normalize_h_index
+from .expr import BasisExpr
 
 IntSeq = tuple[int, ...]
+
+
+def _cycle_sign(sigma: IntSeq) -> int:
+    """(-1)^(k - c) for a permutation of 0..k-1 with c cycles."""
+    seen: set[int] = set()
+    cycles = 0
+    for i in range(len(sigma)):
+        if i in seen:
+            continue
+        cycles += 1
+        while i not in seen:
+            seen.add(i)
+            i = sigma[i]
+    return -1 if (len(sigma) - cycles) % 2 else 1
+
+
+def _h_subscript(raw: IntSeq) -> Optional[IntSeq]:
+    """H_a = 0 for a < 0 kills the monomial (None); H_0 = 1 drops out."""
+    if min(raw, default=0) < 0:
+        return None
+    return tuple(a for a in raw if a)
+
+
+def _compositions(n: int) -> Iterator[IntSeq]:
+    """Compositions of n in lexicographic order."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
 
 
 def _pad_pair(mu: Iterable[int], nu: Optional[Iterable[int]]) -> tuple[IntSeq, IntSeq]:
@@ -46,11 +77,9 @@ def ndet_expand(matrix: tuple[IntSeq, ...], *, max_k: int = 10) -> BasisExpr:
     terms: dict[IntSeq, int] = {}
     for sigma in permutations(range(k)):
         raw = tuple(matrix[i][sigma[i]] for i in range(k))
-        index = normalize_h_index(raw)
-        if index is None:
-            continue
-        sign = permutation_sign(tuple(s + 1 for s in sigma))
-        terms[index] = terms.get(index, 0) + sign
+        index = _h_subscript(raw)
+        if index is not None:
+            terms[index] = terms.get(index, 0) + _cycle_sign(sigma)
     return BasisExpr("H", terms)
 
 
@@ -65,28 +94,27 @@ def commutative_jacobi_trudi(
     k = len(matrix)
     for sigma in permutations(range(k)):
         raw = tuple(matrix[i][sigma[i]] for i in range(k))
-        index = normalize_h_index(raw)
-        if index is None:
-            continue
-        key = tuple(sorted(index, reverse=True))
-        sign = permutation_sign(tuple(s + 1 for s in sigma))
-        terms[key] = terms.get(key, 0) + sign
+        index = _h_subscript(raw)
+        if index is not None:
+            key = tuple(sorted(index, reverse=True))
+            terms[key] = terms.get(key, 0) + _cycle_sign(sigma)
     return BasisExpr("h_sym", terms)
 
 
 def duality_transpose_check(n: int, *, max_k: int = 10) -> dict:
     """Compare the two transition matrices over compositions of n.
 
-    A[beta][alpha] is the coefficient of H_alpha in the H-expansion of the
-    immaculate element at beta; B[alpha][mu] is the coefficient of the dual
-    element at mu in the monomial expansion of alpha. Duality of the two
-    bases forces B to equal the transpose of A.
+    A[beta][alpha] is the coefficient of H_alpha in the determinant of the
+    Jacobi-Trudi matrix of beta; B[alpha][mu] is the coefficient of the dual
+    element at mu in the production monomial expansion of alpha. Duality of
+    the two bases forces B to equal the transpose of A.
     """
-    from .expansions import immaculate_to_H, monomial_to_dual_immaculate
+    from .expansions import monomial_to_dual_immaculate
 
-    comps = list(compositions_of(n))
+    comps = list(_compositions(n))
     a_matrix = {
-        beta: immaculate_to_H(beta, max_k=max_k) for beta in comps
+        beta: ndet_expand(jacobi_trudi_matrix(beta), max_k=max_k)
+        for beta in comps
     }
     counterexample = None
     for alpha in comps:

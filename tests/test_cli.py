@@ -144,6 +144,63 @@ def test_thc_list_pads_short_shape(capsys):
     assert BasisExpr("H", terms) == expected == BasisExpr.term("H", (1, 1))
 
 
+def test_thc_rejects_non_partition_inner_shape(capsys):
+    # thc keeps exit 1 on an inner shape expand would straighten, and says so
+    for what in ("list", "render"):
+        code, out, err = run(capsys, "thc", what, "--shape", "2,5,3",
+                             "--skew", "1,3")
+        assert code == 1 and out == ""
+        assert "inner shape 1,3 is not a partition" in err
+        assert "immaculate straighten --shape 2,5,3 --skew 1,3" in err
+
+
+def test_thc_on_straightened_shape_matches_expand(capsys):
+    # following the advice: thc list on the straightened shape folds, with
+    # the straightening sign, to the expand result
+    from immaculate.expr import BasisExpr, normalize_h_index
+
+    code, out, _ = run(capsys, "straighten", "--shape", "2,5,3",
+                       "--skew", "1,3", "--format", "json")
+    straight = json.loads(out)
+    code, out, _ = run(capsys, "thc", "list",
+                       "--shape", ",".join(map(str, straight["mu"])),
+                       "--skew", ",".join(map(str, straight["nu"])),
+                       "--format", "json")
+    assert code == 0
+    terms = {}
+    for line in out.splitlines():
+        covering = json.loads(line)
+        index = normalize_h_index(covering["delta"])
+        if index is not None:
+            terms[index] = terms.get(index, 0) + straight["sign"] * covering["sign"]
+    code, out, _ = run(capsys, "expand", "immaculate", "--shape", "2,5,3",
+                       "--skew", "1,3", "--format", "json")
+    assert BasisExpr("H", terms) == BasisExpr.from_json_dict(json.loads(out))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("thc", "list", "--shape", "-3,5,5"), 0),
+    (("expand", "immaculate", "--shape", "-1,3,2"), 0),
+    (("expand", "immaculate", "--shape", "3,1", "--skew", "-2,1"), 0),
+    (("decompose", "--shape", "-1,3,2", "--prefix", "2"), 0),
+    # negative values that parse, then fail as values
+    (("expand", "ribbon-product", "--shape", "1,1", "--times", "-2"), 1),
+    (("thc", "render", "--shape", "1,2", "--sigma", "-1,2"), 1),
+])
+def test_negative_values_spaced_or_joined(capsys, argv, code):
+    # `--shape -1,3,2` reads the same as `--shape=-1,3,2`
+    joined = []
+    for arg in argv:
+        if arg.startswith("-") and arg[1:2].isdigit():
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    spaced = run(capsys, *argv)
+    assert spaced == run(capsys, *joined)
+    assert spaced[0] == code and bool(spaced[1]) == (code == 0)
+    assert "expected one argument" not in spaced[2]
+
+
 def test_thc_render(capsys):
     code, out, _ = run(capsys, "thc", "render", "--shape", "3,1,3")
     assert code == 0

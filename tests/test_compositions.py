@@ -6,11 +6,8 @@ from immaculate.compositions import (
     coarsen,
     coarsenings,
     compositions_of,
-    flatten,
     is_partition,
     lehmer_code,
-    linear_permutations,
-    linear_sign,
     permutation_sign,
 )
 
@@ -53,17 +50,6 @@ def test_coarsenings_count_and_distinct():
         assert len(set(results)) == len(results)
 
 
-def test_flatten():
-    assert flatten((5, 0, 3, 0, 1, 5, 0, 4)) == (5, 3, 1, 5, 4)
-    assert flatten((2, 1, 2)) == (2, 1, 2)
-    assert flatten((0, 0, 0)) == ()
-
-
-def test_flatten_rejects_negative():
-    with pytest.raises(ValueError):
-        flatten((1, -1))
-
-
 def test_lehmer_example():
     assert lehmer_code((4, 7, 3, 1, 6, 2, 5)) == (3, 5, 2, 0, 2, 0, 0)
     assert permutation_sign((4, 7, 3, 1, 6, 2, 5)) == 1
@@ -82,22 +68,6 @@ def test_permutation_sign_brute_force():
             1 for i in range(5) for j in range(i + 1, 5) if sigma[i] > sigma[j]
         )
         assert permutation_sign(sigma) == (-1) ** inversions
-
-
-def test_linear_permutations_counts():
-    assert len(list(linear_permutations(4, 2))) == 12
-    assert len(list(linear_permutations(2, 1))) == 2
-
-
-def test_linear_sign_examples():
-    assert linear_sign((1,), 2) == 1
-    assert linear_sign((2,), 2) == -1  # 2 exceeds the unused value 1
-
-
-def test_linear_sign_restricts_to_permutation_sign():
-    for k in range(1, 6):
-        for pi in linear_permutations(k, k):
-            assert linear_sign(pi, k) == permutation_sign(pi)
 
 
 def test_is_partition():

@@ -61,8 +61,39 @@ def test_delta_stream_matches_full_enumeration():
         k = rng.randint(1, 5)
         mu = tuple(rng.randint(-3, 5) for _ in range(k))
         nu = tuple(sorted((rng.randint(0, 3) for _ in range(k)), reverse=True))
-        full = [(g.delta_seq, g.total_sign) for g in enumerate_coverings(mu, nu)]
+        full = [(g.delta_seq, g.total_sign, g.hooks[-1].bumped)
+                for g in enumerate_coverings(mu, nu)]
         assert list(delta_sign_stream(mu, nu)) == full
+        assert list(delta_sign_stream(mu, nu, depth=k)) == full
+
+
+def test_delta_stream_depth_cuts_every_covering():
+    # the walk cut at depth d visits each distinct first-d-hook choice once,
+    # in covering order, with the partial sign and the inner shape after it
+    rng = random.Random(2)
+    for _ in range(10):
+        k = rng.randint(1, 5)
+        mu = tuple(rng.randint(-3, 5) for _ in range(k))
+        nu = tuple(sorted((rng.randint(0, 3) for _ in range(k)), reverse=True))
+        coverings = list(enumerate_coverings(mu, nu))
+        for d in range(k + 1):
+            expected = []
+            for g in coverings:
+                head = g.hooks[:d]
+                entry = (
+                    g.delta_seq[:d],
+                    math.prod(h.sign for h in head),
+                    head[-1].bumped if head else tuple(g.nu0),
+                )
+                if entry not in expected:
+                    expected.append(entry)
+            assert list(delta_sign_stream(mu, nu, depth=d)) == expected
+            assert len(expected) == math.factorial(k) // math.factorial(k - d)
+
+
+def test_delta_stream_rejects_bad_depth():
+    with pytest.raises(ValueError):
+        next(delta_sign_stream((2, 1), depth=3))
 
 
 def test_covering_from_permutation_example():

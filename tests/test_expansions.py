@@ -1,7 +1,9 @@
 import random
+from itertools import permutations
 
 import pytest
 
+from immaculate.compositions import compositions_of
 from immaculate.expansions import (
     forgetful_to_h,
     immaculate_to_H,
@@ -132,6 +134,26 @@ def test_prefix_full_depth_term_count():
     assert all(tail == ((), ()) for _, _, tail in entries)
 
 
+def test_prefix_signs_and_order_follow_arrangements():
+    # one entry per ordered m-arrangement pi of 1..k, in lexicographic order,
+    # with prefix mu_i - i + pi_i and the sign of pi's inversions plus, for
+    # each entry, the unused values below it
+    for k in range(1, 6):
+        mu = (4, -1, 3, 0, 2)[:k]
+        for m in range(1, k + 1):
+            entries = skew_prefix_decomposition(mu, m)
+            arrangements = list(permutations(range(1, k + 1), m))
+            assert len(entries) == len(arrangements)
+            for (sign, prefix, (tail_mu, _)), pi in zip(entries, arrangements):
+                unused = set(range(1, k + 1)) - set(pi)
+                inversions = sum(
+                    1 for i in range(m) for j in range(i + 1, m) if pi[i] > pi[j]
+                ) + sum(1 for v in pi for q in unused if q < v)
+                assert sign == (-1) ** inversions, (mu, m, pi)
+                assert prefix == tuple(mu[i] - (i + 1) + pi[i] for i in range(m))
+                assert tail_mu == mu[m:]
+
+
 def test_prefix_rejects_bad_m():
     with pytest.raises(ValueError):
         skew_prefix_decomposition((2, 1), 3)
@@ -152,6 +174,17 @@ def test_monomial_n2():
     assert monomial_to_dual_immaculate((2,)) == BasisExpr(
         "dI", {(2,): 1, (1, 1): -1}
     )
+
+
+def test_monomial_matches_determinant_coefficients():
+    # the coefficient of dI_mu in M_alpha is that of H_alpha in det(mu)
+    for n in range(1, 7):
+        comps = list(compositions_of(n))
+        table = {mu: ndet_expand(jacobi_trudi_matrix(mu)) for mu in comps}
+        for alpha in comps:
+            assert monomial_to_dual_immaculate(alpha) == BasisExpr(
+                "dI", {mu: table[mu].coefficient(alpha) for mu in comps}
+            )
 
 
 def test_monomial_rejects_weak_composition():

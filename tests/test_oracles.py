@@ -1,6 +1,9 @@
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
+from immaculate import oracles
 from immaculate.expr import BasisExpr, normalize_h_index
 from immaculate.oracles import (
     commutative_jacobi_trudi,
@@ -110,3 +113,27 @@ def test_box_sweep_matches_expansion():
 
     for mu in product(range(-2, 3), repeat=3):
         assert immaculate_to_H(mu) == ndet_expand(jacobi_trudi_matrix(mu))
+
+
+def _package_imports(nodes) -> set:
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "immaculate"
+        ):
+            found |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {(None, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "immaculate"}
+    return found
+
+
+def test_oracles_share_no_code_with_production():
+    # only the BasisExpr container at module level, and the production
+    # monomial expansion (the side the duality check tests) inside a function
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    top = _package_imports(tree.body)
+    assert top == {("expr", "BasisExpr")}
+    assert _package_imports(ast.walk(tree)) - top == {
+        ("expansions", "monomial_to_dual_immaculate")
+    }

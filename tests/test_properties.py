@@ -43,7 +43,7 @@ def test_skew_expansion_equals_oracle(mu, nu):
 @given(shapes)
 def test_delta_entries_sum_to_shape_total(mu):
     # each covering redistributes the row totals without changing the sum
-    for delta, _ in delta_sign_stream(mu):
+    for delta, _, _ in delta_sign_stream(mu):
         assert sum(delta) == sum(mu)
 
 
