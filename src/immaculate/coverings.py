@@ -166,7 +166,9 @@ def delta_sign_stream(
 
     depth defaults to all k rows; nu_after is the inner shape once those
     hooks are absorbed. Same order as enumerate_coverings, without
-    materializing hooks: every expansion fold reads this one walk.
+    materializing hooks. The prefix decomposition reads it at depth m; the
+    H fold has its own walk, which skips the coverings a negative
+    subscript kills.
     """
     start = build_diagram(mu, nu)
     _check_bound(start.k, max_k)

@@ -3,8 +3,10 @@
 The central identity: the Schur-like basis element indexed by an integer
 sequence mu (skewed by nu) expands in the complete homogeneous basis as
 the signed sum, over all coverings, of H indexed by the covering's value
-sequence. Subscript normalization (negative kills, zero deletes) is
-applied per monomial.
+sequence. Subscript normalization is applied per hook as the fold walks
+down: a zero subscript is dropped (H_0 = 1) and a negative one kills
+every covering below that hook (H_a = 0 for a < 0), so that subtree is
+never visited.
 """
 
 from __future__ import annotations
@@ -12,20 +14,43 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .compositions import compositions_of, is_partition
-from .coverings import DEFAULT_MAX_K, delta_sign_stream
-from .diagram import pad_pair
-from .expr import BasisExpr, normalize_h_index
+from .coverings import DEFAULT_MAX_K, _check_bound, delta_sign_stream
+from .diagram import build_diagram, pad_pair, step
+from .expr import BasisExpr
 
 IntSeq = tuple[int, ...]
 
 
 def _fold_coverings(mu: IntSeq, nu: IntSeq, max_k: int) -> dict[IntSeq, int]:
-    """Normalized H index -> summed sign over all coverings of mu/nu."""
+    """Normalized H index -> summed sign over all coverings of mu/nu.
+
+    Depth-first over `step`, carrying the sign and the normalized index:
+    only coverings whose subscripts are all nonnegative are visited. The
+    subscript mu_s - nu_p + p - s grows with the terminal row p, as nu is
+    weakly decreasing on the active rows, so terminals are tried from the
+    top down and the first negative one ends the row: it and every lower
+    terminal kill their whole subtrees.
+    """
+    start = build_diagram(mu, nu)
+    _check_bound(start.k, max_k)
+    k = start.k
+    mu = start.mu
     terms: dict[IntSeq, int] = {}
-    for delta, sign, _ in delta_sign_stream(mu, nu, max_k=max_k):
-        index = normalize_h_index(delta)
-        if index is not None:
+
+    def walk(nu_now: IntSeq, s: int, index: IntSeq, sign: int) -> None:
+        if s > k:
             terms[index] = terms.get(index, 0) + sign
+            return
+        for p in range(k, s - 1, -1):
+            delta, step_sign, bumped = step(mu, nu_now, s, p)
+            if delta > 0:
+                walk(bumped, s + 1, index + (delta,), sign * step_sign)
+            elif delta == 0:
+                walk(bumped, s + 1, index, sign * step_sign)
+            else:
+                return
+
+    walk(start.nu, 1, (), 1)
     return terms
 
 

@@ -4,7 +4,9 @@ from itertools import permutations
 import pytest
 
 from immaculate.compositions import compositions_of
+from immaculate.coverings import delta_sign_stream
 from immaculate.expansions import (
+    _fold_coverings,
     forgetful_to_h,
     immaculate_to_H,
     monomial_to_dual_immaculate,
@@ -62,6 +64,42 @@ def test_skew_by_zero_is_straight():
 def test_skew_vanishing_inner_shape():
     # an adjacent rise by one makes two determinant columns equal
     assert not skew_immaculate_to_H((4, 4), (1, 2))
+
+
+def _unpruned_fold(mu, nu, max_k=10):
+    # every covering visited, each monomial normalized after the walk
+    terms = {}
+    for delta, sign, _ in delta_sign_stream(mu, nu, max_k=max_k):
+        index = normalize_h_index(delta)
+        if index is not None:
+            terms[index] = terms.get(index, 0) + sign
+    return terms
+
+
+def _random_partition(rng, k):
+    return tuple(sorted((rng.randint(0, 4) for _ in range(rng.randint(0, k))),
+                        reverse=True))
+
+
+def test_pruned_fold_matches_unpruned_walk():
+    rng = random.Random(11)
+    cases = [((2, 5, 3, 1, 4, 2, 5, 3), ())]
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        mu = tuple(rng.randint(-3, 6) for _ in range(k))
+        cases.append((mu, _random_partition(rng, k)))
+    for mu, nu in cases:
+        # equal as dicts, so even the cancelled indices agree
+        assert _fold_coverings(mu, nu, 10) == _unpruned_fold(mu, nu), (mu, nu)
+
+
+def test_fold_validates_like_the_walk():
+    with pytest.raises(ValueError, match=r"active rows of nu must be weakly "
+                                         r"decreasing: \(1, 3, 0\)"):
+        _fold_coverings((2, 5, 3), (1, 3), 10)
+    with pytest.raises(ValueError, match=r"shape has 4 rows; enumeration is "
+                                         r"limited to 3 \(raise max_k to override\)"):
+        _fold_coverings((1, 2, 1, 2), (), 3)
 
 
 def test_straighten_example():
