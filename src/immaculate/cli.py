@@ -184,7 +184,8 @@ def _cmd_expand_immaculate(args) -> int:
               f"direct ribbon formula; pass --force to evaluate it anyway",
               file=sys.stderr)
         return USAGE_ERROR
-    expr = immaculate_to_ribbon_direct(args.shape, force=args.force)
+    expr = immaculate_to_ribbon_direct(args.shape, force=args.force,
+                                       max_k=args.max_k)
     _emit(expr, args.format, tag="UNPROVEN-CLASS" if outside else None)
     return 0
 

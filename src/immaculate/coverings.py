@@ -9,23 +9,14 @@ of {1..k} via sigma_i = p_i - q_i + 1 on terminal cells (p_i, q_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .diagram import (
-    Cell,
-    TunnelHook,
-    apply_hook,
-    build_diagram,
-    make_tunnel_hook,
-    step,
-)
+from .diagram import Cell, TunnelHook, build_diagram, step
 
 DEFAULT_MAX_K = 10
 
 
-@dataclass(frozen=True)
-class TunnelHookCovering:
+class TunnelHookCovering(NamedTuple):
     mu: tuple[int, ...]
     nu0: tuple[int, ...]
     hooks: tuple[TunnelHook, ...]
@@ -54,16 +45,17 @@ def _check_bound(k: int, max_k: int) -> None:
         )
 
 
-def _finish(
-    mu: tuple[int, ...], nu0: tuple[int, ...], hooks: tuple[TunnelHook, ...]
+def _covering(
+    mu: tuple[int, ...],
+    nu0: tuple[int, ...],
+    hooks: tuple[TunnelHook, ...],
+    delta_seq: tuple[int, ...],
+    total_sign: int,
 ) -> TunnelHookCovering:
-    delta_seq = tuple(h.delta for h in hooks)
-    total_sign = 1
-    for h in hooks:
-        total_sign *= h.sign
+    """The covering record, with its permutation label when nu0 = 0."""
     sigma = None
     if not any(nu0):
-        sigma = tuple(p - q + 1 for p, q in (h.terminal for h in hooks))
+        sigma = tuple([h.terminal[0] - h.terminal[1] + 1 for h in hooks])
     return TunnelHookCovering(mu, nu0, hooks, delta_seq, total_sign, sigma)
 
 
@@ -77,16 +69,21 @@ def enumerate_coverings(
     start = build_diagram(mu, nu)
     _check_bound(start.k, max_k)
     k = start.k
-
-    def walk(nu_now: tuple[int, ...], s: int, prefix: tuple[TunnelHook, ...]):
+    mu_t, nu0 = start.mu, start.nu
+    # (nu_now, s, hooks, delta_seq, sign) per open node; children are pushed
+    # last terminal first, so they pop in ascending terminal order.
+    todo = [(nu0, 1, (), (), 1)]
+    while todo:
+        nu_now, s, hooks, deltas, sign = todo.pop()
         if s > k:
-            yield _finish(start.mu, start.nu, prefix)
-            return
-        for p in range(s, k + 1):
-            hook = TunnelHook.at(start.mu, nu_now, s, p)
-            yield from walk(hook.bumped, s + 1, prefix + (hook,))
-
-    yield from walk(start.nu, 1, ())
+            yield _covering(mu_t, nu0, hooks, deltas, sign)
+            continue
+        for p in range(k, s - 1, -1):
+            delta, step_sign, bumped = step(mu_t, nu_now, s, p)
+            hook = TunnelHook(s, (p, nu_now[p - 1] + 1), step_sign, delta,
+                              nu_now, bumped)
+            todo.append((bumped, s + 1, hooks + (hook,), deltas + (delta,),
+                         sign * step_sign))
 
 
 def covering_from_terminal_cells(
@@ -97,18 +94,27 @@ def covering_from_terminal_cells(
     max_k: int = DEFAULT_MAX_K,
 ) -> TunnelHookCovering:
     """Replay a covering from its terminal-cell choices, bottom row first."""
-    diagram = build_diagram(mu, nu)
-    _check_bound(diagram.k, max_k)
+    start = build_diagram(mu, nu)
+    k = start.k
+    _check_bound(k, max_k)
     cells = list(cells)
-    if len(cells) != diagram.k:
-        raise ValueError(f"need {diagram.k} terminal cells, got {len(cells)}")
-    start = diagram
+    if len(cells) != k:
+        raise ValueError(f"need {k} terminal cells, got {len(cells)}")
+    nu_now = start.nu
     hooks = []
-    for tau in cells:
-        hook = make_tunnel_hook(diagram, tuple(tau))
+    deltas = []
+    sign = 1
+    for s, tau in enumerate(cells, start=1):
+        tau = tuple(tau)
+        p = tau[0] if tau else 0
+        if not (s <= p <= k and tau == (p, nu_now[p - 1] + 1)):
+            raise ValueError(f"{tau} is not a tunnel cell of the diagram")
+        hook = TunnelHook.at(start.mu, nu_now, s, p)
         hooks.append(hook)
-        diagram = apply_hook(diagram, hook)
-    return _finish(start.mu, start.nu, tuple(hooks))
+        deltas.append(hook.delta)
+        sign *= hook.sign
+        nu_now = hook.bumped
+    return _covering(start.mu, start.nu, tuple(hooks), tuple(deltas), sign)
 
 
 def covering_from_permutation(

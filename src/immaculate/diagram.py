@@ -30,8 +30,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 Cell = tuple[int, int]
 
@@ -47,24 +46,35 @@ def row_counts(mu_i: int, nu_i: int) -> tuple[int, int, int]:
     return nu_i, 0, -mu_i + nu_i
 
 
-@dataclass(frozen=True)
-class GbprDiagram:
+class _Diagram(NamedTuple):
     mu: tuple[int, ...]
     nu: tuple[int, ...]
     offset: int = 0
 
-    def __post_init__(self):
-        if len(self.mu) != len(self.nu):
+
+class GbprDiagram(_Diagram):
+    """mu over nu with the bottom offset rows absorbed; validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, mu: tuple[int, ...], nu: tuple[int, ...], offset: int = 0):
+        if len(mu) != len(nu):
             raise ValueError("mu and nu must have equal length")
-        if not 0 <= self.offset <= len(self.mu):
-            raise ValueError(f"offset {self.offset} out of range")
-        if any(n < 0 for n in self.nu):
-            raise ValueError(f"nu must be nonnegative: {self.nu}")
-        tail = self.nu[self.offset:]
+        if not 0 <= offset <= len(mu):
+            raise ValueError(f"offset {offset} out of range")
+        if any(n < 0 for n in nu):
+            raise ValueError(f"nu must be nonnegative: {nu}")
+        tail = nu[offset:]
         if any(tail[i] < tail[i + 1] for i in range(len(tail) - 1)):
             raise ValueError(
                 f"active rows of nu must be weakly decreasing: {tail}"
             )
+        return super().__new__(cls, mu, nu, offset)
+
+    @classmethod
+    def _make(cls, iterable) -> "GbprDiagram":
+        # NamedTuple's _make and _replace skip __new__; keep them validating.
+        return cls(*iterable)
 
     @property
     def k(self) -> int:
@@ -136,8 +146,7 @@ def step(
     return mu[s - 1] - nu[p - 1] + p - s, -1 if (p - s) % 2 else 1, tuple(bumped)
 
 
-@dataclass(frozen=True)
-class TunnelHook:
+class TunnelHook(NamedTuple):
     """The boundary cells in rows start_row..p for a tunnel cell (p, q).
 
     nu is the inner shape before the hook and bumped the one after it.

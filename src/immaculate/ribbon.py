@@ -11,6 +11,7 @@ from itertools import permutations
 from typing import Iterable, Optional
 
 from .compositions import coarsenings, permutation_sign
+from .coverings import DEFAULT_MAX_K, _check_bound
 from .expr import BasisExpr
 
 Index = tuple[int, ...]
@@ -66,7 +67,7 @@ def im2rib_class(alpha: Iterable[int]) -> Optional[int]:
 
 
 def immaculate_to_ribbon_direct(
-    alpha: Iterable[int], force: bool = False
+    alpha: Iterable[int], force: bool = False, *, max_k: int = DEFAULT_MAX_K
 ) -> BasisExpr:
     """Signed permutation sum of R indexed by (alpha_i - i + sigma_i).
 
@@ -74,6 +75,7 @@ def immaculate_to_ribbon_direct(
     factor here, unlike H subscripts). The identity with the true ribbon
     expansion is guaranteed only when im2rib_class(alpha) is defined;
     pass force=True to evaluate the formula outside that class anyway.
+    The sum runs over all k! permutations, so more than max_k parts raise.
     """
     alpha = tuple(alpha)
     if any(a < 1 for a in alpha):
@@ -84,6 +86,7 @@ def immaculate_to_ribbon_direct(
             f"formula; use force to evaluate it anyway"
         )
     k = len(alpha)
+    _check_bound(k, max_k)
     terms: dict[Index, int] = {}
     for sigma in permutations(range(1, k + 1)):
         index = tuple(alpha[i] - (i + 1) + sigma[i] for i in range(k))

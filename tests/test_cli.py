@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +256,25 @@ def test_bound_violation_is_usage_error(capsys):
     code, _, err = run(capsys, "expand", "immaculate",
                        "--shape", ",".join(["1"] * 11))
     assert code == 1 and "rows" in err
+
+
+@pytest.mark.parametrize("basis", ["H", "R"])
+def test_max_k_bounds_both_bases(capsys, basis):
+    code, out, err = run(capsys, "expand", "immaculate", "--shape", "1,1,1,1,1",
+                         "--max-k", "3", "--basis", basis)
+    assert code == 1 and out == ""
+    assert "limited to 3" in err
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # -S keeps site .pth files, which may import these themselves, out
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import immaculate.cli, sys; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_format_env_default(capsys, monkeypatch):

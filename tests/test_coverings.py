@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -53,6 +54,31 @@ def test_replay_worked_covering():
     g = covering_from_terminal_cells(mu, (2, 1), cells)
     assert g.delta_seq == (1, 2, 5, 0, 1, 0, 4, 4)
     assert g.sigma is None  # skew start, no permutation label
+
+
+def test_replay_matches_enumeration():
+    rng = random.Random(6)
+    for case in range(40):
+        k = rng.randint(1, 5)
+        mu = tuple(rng.randint(-3, 6) for _ in range(k))
+        nu = tuple(sorted((rng.randint(0, 4) for _ in range(k)), reverse=True))
+        if case % 4 == 0:
+            nu = (0,) * k
+        for g in enumerate_coverings(mu, nu):
+            replay = covering_from_terminal_cells(mu, nu, g.terminal_cells)
+            assert replay == g and hash(replay) == hash(g)
+
+
+@pytest.mark.parametrize("cells, message", [
+    # row 1 of the straight shape has the one tunnel cell (1, 1)
+    (((1, 2), (2, 1), (3, 1)), "(1, 2) is not a tunnel cell of the diagram"),
+    # the first hook absorbs row 1, so the second may not end there
+    (((2, 1), (1, 4), (3, 1)), "(1, 4) is not a tunnel cell of the diagram"),
+    (((1, 1), (2, 1)), "need 3 terminal cells, got 2"),
+])
+def test_replay_rejects_bad_cells(cells, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        covering_from_terminal_cells((3, 1, 3), None, cells)
 
 
 def test_delta_stream_matches_full_enumeration():

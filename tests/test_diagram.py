@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from immaculate.coverings import covering_from_permutation
 from immaculate.diagram import (
     GbprDiagram,
     apply_hook,
@@ -61,6 +62,26 @@ def test_build_diagram_pads_short_mu():
 def test_validation_rejects_rising_tail():
     with pytest.raises(ValueError):
         build_diagram((2, 2), (1, 2))
+
+
+def test_records_are_immutable_values():
+    d = build_diagram((3, 1, 3))
+    g = covering_from_permutation((3, 1, 3), (2, 1, 3))
+    for record, field in ((d, "nu"), (g.hooks[0], "delta"), (g, "total_sign")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    assert repr(d) == "GbprDiagram(mu=(3, 1, 3), nu=(0, 0, 0), offset=0)"
+    assert repr(g.hooks[0]) == (
+        "TunnelHook(start_row=1, terminal=(2, 1), sign=-1, delta=4, "
+        "nu=(0, 0, 0), bumped=(3, 1, 0))"
+    )
+    assert repr(g).startswith("TunnelHookCovering(mu=(3, 1, 3), nu0=(0, 0, 0), hooks=(")
+    with pytest.raises(ValueError):
+        GbprDiagram((2, 2), (1, 2))
+    with pytest.raises(ValueError):
+        d._replace(nu=(0, 1, 0))
 
 
 def test_validation_rejects_negative_nu():

@@ -127,3 +127,10 @@ def test_direct_requires_force_outside_class():
     })
     # this one happens to equal the true expansion anyway
     assert got == H_to_ribbon(immaculate_to_H((1, 1, 2, 3)))
+
+
+def test_direct_respects_max_k():
+    with pytest.raises(ValueError, match="limited to 3"):
+        immaculate_to_ribbon_direct((1,) * 5, max_k=3)
+    with pytest.raises(ValueError, match="limited to 10"):
+        immaculate_to_ribbon_direct((1,) * 11)
