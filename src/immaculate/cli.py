@@ -43,6 +43,7 @@ from .verify import CHECKS, run_suite
 
 USAGE_ERROR = 1
 VERIFY_FAILURE = 2
+_MAX_VERIFY_N = 8
 FORMATS = ("text", "json", "latex")
 SHAPE_OPTIONS = ("--shape", "--skew", "--times", "--sigma")
 
@@ -159,7 +160,8 @@ def build_parser() -> _Parser:
                    help="'all' or a comma-separated subset of: "
                         + ", ".join(CHECKS))
     p.add_argument("--n", type=int, default=None,
-                   help="size cap for the sweeps that take one")
+                   help=f"size cap, 1 to {_MAX_VERIFY_N}, for the sweeps that "
+                        "take one (their oracles grow like n!)")
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -285,9 +287,9 @@ def _cmd_verify(args) -> int:
     names = None if args.suite == "all" else args.suite.split(",")
     overrides = {"seed": args.seed}
     if args.n is not None:
-        if args.n < 1:
-            print(f"error: --n must be at least 1, got {args.n}",
-                  file=sys.stderr)
+        if not 1 <= args.n <= _MAX_VERIFY_N:
+            print(f"error: --n must be between 1 and {_MAX_VERIFY_N}, "
+                  f"got {args.n}", file=sys.stderr)
             return USAGE_ERROR
         overrides.update(max_n=args.n, comp_n=args.n)
     try:

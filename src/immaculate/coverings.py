@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .diagram import Cell, TunnelHook, build_diagram, step
+from .diagram import Cell, GbprDiagram, TunnelHook, build_diagram, step
 
 DEFAULT_MAX_K = 10
 
@@ -59,6 +59,40 @@ def _covering(
     return TunnelHookCovering(mu, nu0, hooks, delta_seq, total_sign, sigma)
 
 
+def _walk(
+    start: GbprDiagram, depth: int
+) -> Iterator[tuple[tuple[TunnelHook, ...], tuple[int, ...], int, tuple[int, ...]]]:
+    """(hooks, delta_seq, sign, nu_after) per covering of the bottom depth rows.
+
+    Depth-first, tunnel cells taken bottom-up. The hooks leaving a state
+    (s, nu_now) are built through `step` once and kept in a table that
+    lives only as long as this walk: about e * k! nodes share a few
+    hundred states at k = 7.
+    """
+    k = start.k
+    mu = start.mu
+    moves: dict[tuple[int, tuple[int, ...]], list] = {}
+    # (nu_now, s, hooks, delta_seq, sign) per open node; children are pushed
+    # last terminal first, so they pop in ascending terminal order.
+    todo = [(start.nu, 1, (), (), 1)]
+    while todo:
+        nu_now, s, hooks, deltas, sign = todo.pop()
+        if s > depth:
+            yield hooks, deltas, sign, nu_now
+            continue
+        out = moves.get((s, nu_now))
+        if out is None:
+            out = moves[s, nu_now] = []
+            for p in range(k, s - 1, -1):
+                delta, step_sign, bumped = step(mu, nu_now, s, p)
+                hook = TunnelHook(s, (p, nu_now[p - 1] + 1), step_sign, delta,
+                                  nu_now, bumped)
+                out.append((hook, delta, step_sign, bumped))
+        for hook, delta, step_sign, bumped in out:
+            todo.append((bumped, s + 1, hooks + (hook,), deltas + (delta,),
+                         sign * step_sign))
+
+
 def enumerate_coverings(
     mu: Iterable[int],
     nu: Optional[Iterable[int]] = None,
@@ -68,22 +102,8 @@ def enumerate_coverings(
     """Depth-first stream of all k! coverings, tunnel cells taken bottom-up."""
     start = build_diagram(mu, nu)
     _check_bound(start.k, max_k)
-    k = start.k
-    mu_t, nu0 = start.mu, start.nu
-    # (nu_now, s, hooks, delta_seq, sign) per open node; children are pushed
-    # last terminal first, so they pop in ascending terminal order.
-    todo = [(nu0, 1, (), (), 1)]
-    while todo:
-        nu_now, s, hooks, deltas, sign = todo.pop()
-        if s > k:
-            yield _covering(mu_t, nu0, hooks, deltas, sign)
-            continue
-        for p in range(k, s - 1, -1):
-            delta, step_sign, bumped = step(mu_t, nu_now, s, p)
-            hook = TunnelHook(s, (p, nu_now[p - 1] + 1), step_sign, delta,
-                              nu_now, bumped)
-            todo.append((bumped, s + 1, hooks + (hook,), deltas + (delta,),
-                         sign * step_sign))
+    for hooks, deltas, sign, _ in _walk(start, start.k):
+        yield _covering(start.mu, start.nu, hooks, deltas, sign)
 
 
 def covering_from_terminal_cells(
@@ -171,10 +191,9 @@ def delta_sign_stream(
     """(delta_seq, sign, nu_after) per covering of the bottom depth rows.
 
     depth defaults to all k rows; nu_after is the inner shape once those
-    hooks are absorbed. Same order as enumerate_coverings, without
-    materializing hooks. The prefix decomposition reads it at depth m; the
-    H fold has its own walk, which skips the coverings a negative
-    subscript kills.
+    hooks are absorbed. The same walk and order as enumerate_coverings.
+    The prefix decomposition reads it at depth m; the H fold has its own
+    walk, which skips the coverings a negative subscript kills.
     """
     start = build_diagram(mu, nu)
     _check_bound(start.k, max_k)
@@ -182,14 +201,5 @@ def delta_sign_stream(
     stop = k if depth is None else depth
     if not 0 <= stop <= k:
         raise ValueError(f"need 0 <= depth <= {k}, got {depth}")
-    mu_t = start.mu
-
-    def walk(nu_now: tuple[int, ...], s: int, deltas: tuple[int, ...], sign: int):
-        if s > stop:
-            yield deltas, sign, nu_now
-            return
-        for p in range(s, k + 1):
-            delta, step_sign, bumped = step(mu_t, nu_now, s, p)
-            yield from walk(bumped, s + 1, deltas + (delta,), sign * step_sign)
-
-    yield from walk(start.nu, 1, (), 1)
+    for _, deltas, sign, nu_after in _walk(start, stop):
+        yield deltas, sign, nu_after

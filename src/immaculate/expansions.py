@@ -21,15 +21,20 @@ from .expr import BasisExpr
 IntSeq = tuple[int, ...]
 
 
-def _fold_coverings(mu: IntSeq, nu: IntSeq, max_k: int) -> dict[IntSeq, int]:
-    """Normalized H index -> summed sign over all coverings of mu/nu.
+def _fold_coverings(
+    mu: IntSeq, nu: IntSeq, max_k: int, least: int = 0
+) -> dict[IntSeq, int]:
+    """Normalized index -> summed sign over all coverings of mu/nu.
 
     Depth-first over `step`, carrying the sign and the normalized index:
-    only coverings whose subscripts are all nonnegative are visited. The
-    subscript mu_s - nu_p + p - s grows with the terminal row p, as nu is
-    weakly decreasing on the active rows, so terminals are tried from the
-    top down and the first negative one ends the row: it and every lower
-    terminal kill their whole subtrees.
+    only coverings whose subscripts are all at least `least` are visited,
+    and a zero subscript is dropped (H_0 = 1). The subscript
+    mu_s - nu_p + p - s grows with the terminal row p, as nu is weakly
+    decreasing on the active rows, so terminals are tried from the top
+    down and the first one below `least` ends the row: it and every lower
+    terminal kill their whole subtrees. least = 0 gives the H expansion
+    (H_a = 0 for a < 0); least = 1 gives the direct ribbon formula, where
+    a zero part kills too.
     """
     start = build_diagram(mu, nu)
     _check_bound(start.k, max_k)
@@ -45,10 +50,10 @@ def _fold_coverings(mu: IntSeq, nu: IntSeq, max_k: int) -> dict[IntSeq, int]:
             delta, step_sign, bumped = step(mu, nu_now, s, p)
             if delta > 0:
                 walk(bumped, s + 1, index + (delta,), sign * step_sign)
-            elif delta == 0:
-                walk(bumped, s + 1, index, sign * step_sign)
-            else:
+            elif delta < least:
                 return
+            else:
+                walk(bumped, s + 1, index, sign * step_sign)
 
     walk(start.nu, 1, (), 1)
     return terms

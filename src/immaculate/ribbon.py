@@ -7,11 +7,11 @@ H in terms of R is the plain sum over coarsenings.
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Iterable, Optional
 
-from .compositions import coarsenings, permutation_sign
-from .coverings import DEFAULT_MAX_K, _check_bound
+from .compositions import coarsenings
+from .coverings import DEFAULT_MAX_K
+from .expansions import _fold_coverings
 from .expr import BasisExpr
 
 Index = tuple[int, ...]
@@ -54,11 +54,12 @@ def im2rib_class(alpha: Iterable[int]) -> Optional[int]:
     """Smallest J with alpha_l >= l for l <= J and alpha_l = J after, if any.
 
     Membership marks the shapes whose ribbon expansion is given by the
-    direct signed-permutation formula below.
+    direct signed-permutation formula below. J = 0 holds, among strong
+    compositions, only for the empty one: I_() = 1 = R_().
     """
     alpha = tuple(alpha)
     k = len(alpha)
-    for J in range(1, k + 1):
+    for J in range(k + 1):
         if all(alpha[l - 1] >= l for l in range(1, J + 1)) and all(
             alpha[l - 1] == J for l in range(J + 1, k + 1)
         ):
@@ -75,7 +76,10 @@ def immaculate_to_ribbon_direct(
     factor here, unlike H subscripts). The identity with the true ribbon
     expansion is guaranteed only when im2rib_class(alpha) is defined;
     pass force=True to evaluate the formula outside that class anyway.
-    The sum runs over all k! permutations, so more than max_k parts raise.
+    The covering of alpha with permutation sigma has subscripts
+    alpha_i - i + sigma_i and sign sign(sigma), so the sum is the covering
+    fold with "a part <= 0 kills": it visits only the coverings whose
+    prefix parts are all positive. More than max_k parts raise.
     """
     alpha = tuple(alpha)
     if any(a < 1 for a in alpha):
@@ -85,13 +89,5 @@ def immaculate_to_ribbon_direct(
             f"{alpha} is outside the proven class for the direct ribbon "
             f"formula; use force to evaluate it anyway"
         )
-    k = len(alpha)
-    _check_bound(k, max_k)
-    terms: dict[Index, int] = {}
-    for sigma in permutations(range(1, k + 1)):
-        index = tuple(alpha[i] - (i + 1) + sigma[i] for i in range(k))
-        if any(part <= 0 for part in index):
-            continue
-        sign = permutation_sign(sigma)
-        terms[index] = terms.get(index, 0) + sign
-    return BasisExpr("R", terms)
+    return BasisExpr("R", _fold_coverings(alpha, (0,) * len(alpha), max_k,
+                                          least=1))

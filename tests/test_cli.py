@@ -74,6 +74,15 @@ def test_expand_ribbon_zero_skew_is_straight(capsys):
     assert out.strip() == "R(2,2) - R(3,1)"
 
 
+@pytest.mark.parametrize("force", [(), ("--force",)])
+def test_expand_ribbon_empty_composition(capsys, force):
+    # I_() = 1 = R_(), inside the class with J = 0, like the H basis
+    code, out, err = run(capsys, "expand", "immaculate", "--shape=",
+                         "--basis", "R", *force)
+    assert (code, out, err) == (0, "1\n", "")
+    assert run(capsys, "expand", "immaculate", "--shape=", "--basis", "H")[1] == out
+
+
 def test_expand_monomial(capsys):
     code, out, _ = run(capsys, "expand", "monomial", "--shape", "2")
     assert code == 0
@@ -245,6 +254,14 @@ def test_verify_rejects_nonpositive_n(capsys, n, suite):
     code, out, err = run(capsys, "verify", "--n", n, "--suite", suite)
     assert code == 1 and out == ""
     assert "--n" in err
+
+
+@pytest.mark.parametrize("n", ["0", "9"])
+def test_verify_rejects_n_out_of_range(capsys, n):
+    # the oracle sums grow like n!, so a large --n would hang, not fail
+    code, out, err = run(capsys, "verify", "--n", n, "--suite", "duality")
+    assert (code, out) == (1, "")
+    assert err == f"error: --n must be between 1 and 8, got {n}\n"
 
 
 def test_usage_error_exit_code(capsys):

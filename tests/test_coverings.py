@@ -7,6 +7,7 @@ import pytest
 
 from immaculate.compositions import lehmer_code, permutation_sign
 from immaculate.coverings import (
+    TunnelHookCovering,
     covering_from_permutation,
     covering_from_terminal_cells,
     delta_sign_stream,
@@ -14,6 +15,7 @@ from immaculate.coverings import (
     permutation_from_covering,
     transpose_covering,
 )
+from immaculate.diagram import TunnelHook
 
 
 def test_enumerate_313():
@@ -115,6 +117,62 @@ def test_delta_stream_depth_cuts_every_covering():
                     expected.append(entry)
             assert list(delta_sign_stream(mu, nu, depth=d)) == expected
             assert len(expected) == math.factorial(k) // math.factorial(k - d)
+
+
+def reference_walk(mu, nu, depth):
+    """(hooks, nu_after) per covering of the bottom depth rows, by recursion."""
+    k = len(mu)
+
+    def walk(nu_now, s, hooks):
+        if s > depth:
+            yield hooks, nu_now
+            return
+        for p in range(s, k + 1):
+            hook = TunnelHook.at(mu, nu_now, s, p)
+            yield from walk(hook.bumped, s + 1, hooks + (hook,))
+
+    yield from walk(nu, 1, ())
+
+
+def reference_records(mu, nu, depth):
+    """enumerate_coverings records (depth k) and delta_sign_stream triples."""
+    coverings, stream = [], []
+    for hooks, nu_after in reference_walk(mu, nu, depth):
+        deltas = tuple(h.delta for h in hooks)
+        sign = math.prod(h.sign for h in hooks)
+        sigma = None
+        if not any(nu):
+            sigma = tuple(h.terminal[0] - h.terminal[1] + 1 for h in hooks)
+        coverings.append(TunnelHookCovering(mu, nu, hooks, deltas, sign, sigma))
+        stream.append((deltas, sign, nu_after))
+    return coverings, stream
+
+
+def test_walk_matches_reference_record_for_record():
+    rng = random.Random(8)
+    for _ in range(300):
+        k = rng.randint(0, 6)
+        mu = tuple(rng.randint(-3, 6) for _ in range(k))
+        nu = tuple(sorted((rng.randint(0, 4) for _ in range(k)), reverse=True))
+        coverings, stream = reference_records(mu, nu, k)
+        assert list(enumerate_coverings(mu, nu)) == coverings
+        assert list(delta_sign_stream(mu, nu)) == stream
+        for d in range(k):
+            assert list(delta_sign_stream(mu, nu, depth=d)) == (
+                reference_records(mu, nu, d)[1])
+
+
+def test_interleaved_walks_keep_their_own_state():
+    # two live generators on shapes with the same states (s, nu_now) but
+    # different hooks, stepped in turn, each match their own reference
+    a, b, nu = (3, 1, 3, 0), (2, 2, 4, 1), (1, 1, 0, 0)
+    for index, make in enumerate((enumerate_coverings, delta_sign_stream)):
+        got_a, got_b = [], []
+        for x, y in zip(make(a, nu), make(b, nu)):
+            got_a.append(x)
+            got_b.append(y)
+        assert got_a == reference_records(a, nu, 4)[index]
+        assert got_b == reference_records(b, nu, 4)[index]
 
 
 def test_delta_stream_rejects_bad_depth():

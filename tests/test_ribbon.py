@@ -1,8 +1,9 @@
 import random
+from itertools import permutations
 
 import pytest
 
-from immaculate.compositions import compositions_of
+from immaculate.compositions import compositions_of, permutation_sign
 from immaculate.expansions import immaculate_to_H
 from immaculate.expr import BasisExpr
 from immaculate.ribbon import (
@@ -95,6 +96,12 @@ def test_class_staircase_dominating():
     assert im2rib_class((1, 2, 3, 4)) == 4
 
 
+def test_class_empty_composition():
+    assert im2rib_class(()) == 0
+    assert immaculate_to_ribbon_direct(()) == BasisExpr.term("R", ())
+    assert H_to_ribbon(immaculate_to_H(())) == BasisExpr.term("R", ())
+
+
 def test_class_absent():
     assert im2rib_class((1, 1, 2, 3)) is None
     assert im2rib_class((3, 1, 3)) is None
@@ -127,6 +134,27 @@ def test_direct_requires_force_outside_class():
     })
     # this one happens to equal the true expansion anyway
     assert got == H_to_ribbon(immaculate_to_H((1, 1, 2, 3)))
+
+
+def permutation_sum(alpha):
+    """The formula as written: R_(alpha_i - i + sigma_i) over all sigma in S_k."""
+    k = len(alpha)
+    terms = {}
+    for sigma in permutations(range(1, k + 1)):
+        index = tuple(alpha[i] - (i + 1) + sigma[i] for i in range(k))
+        if any(part <= 0 for part in index):
+            continue
+        terms[index] = terms.get(index, 0) + permutation_sign(sigma)
+    return BasisExpr("R", terms)
+
+
+def test_direct_matches_permutation_sum():
+    shapes = [alpha for n in range(9) for alpha in compositions_of(n)
+              if len(alpha) <= 7]
+    shapes += [(m,) * k for k in range(1, 8) for m in range(1, 21 // k + 1)]
+    for alpha in shapes:
+        assert immaculate_to_ribbon_direct(alpha, force=True) == (
+            permutation_sum(alpha)), alpha
 
 
 def test_direct_respects_max_k():
