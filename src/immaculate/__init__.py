@@ -17,7 +17,6 @@ from .coverings import (
     covering_from_terminal_cells,
     enumerate_coverings,
     permutation_from_covering,
-    transpose_covering,
 )
 from .diagram import (
     GbprDiagram,
@@ -35,7 +34,7 @@ from .expansions import (
     skew_prefix_decomposition,
     straighten_skew,
 )
-from .expr import BasisExpr, normalize_h_index
+from .expr import BasisExpr
 from .oracles import (
     commutative_jacobi_trudi,
     duality_transpose_check,
@@ -78,7 +77,6 @@ __all__ = [
     "make_tunnel_hook",
     "monomial_to_dual_immaculate",
     "ndet_expand",
-    "normalize_h_index",
     "permutation_from_covering",
     "permutation_sign",
     "render",
@@ -88,5 +86,4 @@ __all__ = [
     "skew_immaculate_to_H",
     "skew_prefix_decomposition",
     "straighten_skew",
-    "transpose_covering",
 ]

@@ -9,32 +9,57 @@ of {1..k} via sigma_i = p_i - q_i + 1 on terminal cells (p_i, q_i).
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .diagram import Cell, GbprDiagram, TunnelHook, build_diagram, step
+from .diagram import Cell, GbprDiagram, TunnelHook, build_diagram
 
 DEFAULT_MAX_K = 10
 
 
 class TunnelHookCovering(NamedTuple):
+    """A covering of mu over nu0, stored as its hooks, bottom row first.
+
+    The H-subscripts, the sign and, for a straight shape, the permutation
+    label are all read off the hooks.
+    """
+
     mu: tuple[int, ...]
     nu0: tuple[int, ...]
     hooks: tuple[TunnelHook, ...]
-    delta_seq: tuple[int, ...]
-    total_sign: int
-    sigma: Optional[tuple[int, ...]] = None
+
+    @property
+    def delta_seq(self) -> tuple[int, ...]:
+        return tuple([h.delta for h in self.hooks])
+
+    @property
+    def total_sign(self) -> int:
+        return _sign(self.hooks)
 
     @property
     def terminal_cells(self) -> tuple[Cell, ...]:
-        return tuple(h.terminal for h in self.hooks)
+        return tuple([h.terminal for h in self.hooks])
+
+    @property
+    def sigma(self) -> Optional[tuple[int, ...]]:
+        """sigma_i = p_i - q_i + 1 on the terminal cells; None unless nu0 = 0."""
+        if any(self.nu0):
+            return None
+        return tuple([p - q + 1 for p, q in self.terminal_cells])
 
     def to_json_dict(self) -> dict:
+        sigma = self.sigma
         return {
             "terminal_cells": [list(c) for c in self.terminal_cells],
             "delta": list(self.delta_seq),
             "sign": self.total_sign,
-            "sigma": list(self.sigma) if self.sigma is not None else None,
+            "sigma": list(sigma) if sigma is not None else None,
         }
+
+
+def _sign(hooks: Iterable[TunnelHook]) -> int:
+    """The product of the hook signs."""
+    return prod([h.sign for h in hooks])
 
 
 def _check_bound(k: int, max_k: int) -> None:
@@ -45,52 +70,32 @@ def _check_bound(k: int, max_k: int) -> None:
         )
 
 
-def _covering(
-    mu: tuple[int, ...],
-    nu0: tuple[int, ...],
-    hooks: tuple[TunnelHook, ...],
-    delta_seq: tuple[int, ...],
-    total_sign: int,
-) -> TunnelHookCovering:
-    """The covering record, with its permutation label when nu0 = 0."""
-    sigma = None
-    if not any(nu0):
-        sigma = tuple([h.terminal[0] - h.terminal[1] + 1 for h in hooks])
-    return TunnelHookCovering(mu, nu0, hooks, delta_seq, total_sign, sigma)
-
-
-def _walk(
-    start: GbprDiagram, depth: int
-) -> Iterator[tuple[tuple[TunnelHook, ...], tuple[int, ...], int, tuple[int, ...]]]:
-    """(hooks, delta_seq, sign, nu_after) per covering of the bottom depth rows.
+def _walk(start: GbprDiagram, depth: int) -> Iterator[tuple[TunnelHook, ...]]:
+    """The hooks of each covering of the bottom depth rows.
 
     Depth-first, tunnel cells taken bottom-up. The hooks leaving a state
-    (s, nu_now) are built through `step` once and kept in a table that
-    lives only as long as this walk: about e * k! nodes share a few
+    (s, nu_now) are built through `TunnelHook.at` once and kept in a table
+    that lives only as long as this walk: about e * k! nodes share a few
     hundred states at k = 7.
     """
     k = start.k
     mu = start.mu
-    moves: dict[tuple[int, tuple[int, ...]], list] = {}
-    # (nu_now, s, hooks, delta_seq, sign) per open node; children are pushed
-    # last terminal first, so they pop in ascending terminal order.
-    todo = [(start.nu, 1, (), (), 1)]
+    at = TunnelHook.at
+    moves: dict[tuple[int, tuple[int, ...]], list[TunnelHook]] = {}
+    # (nu_now, s, hooks) per open node; children are pushed last terminal
+    # first, so they pop in ascending terminal order.
+    todo = [(start.nu, 1, ())]
     while todo:
-        nu_now, s, hooks, deltas, sign = todo.pop()
+        nu_now, s, hooks = todo.pop()
         if s > depth:
-            yield hooks, deltas, sign, nu_now
+            yield hooks
             continue
         out = moves.get((s, nu_now))
         if out is None:
-            out = moves[s, nu_now] = []
-            for p in range(k, s - 1, -1):
-                delta, step_sign, bumped = step(mu, nu_now, s, p)
-                hook = TunnelHook(s, (p, nu_now[p - 1] + 1), step_sign, delta,
-                                  nu_now, bumped)
-                out.append((hook, delta, step_sign, bumped))
-        for hook, delta, step_sign, bumped in out:
-            todo.append((bumped, s + 1, hooks + (hook,), deltas + (delta,),
-                         sign * step_sign))
+            out = moves[s, nu_now] = [at(mu, nu_now, s, p)
+                                      for p in range(k, s - 1, -1)]
+        for hook in out:
+            todo.append((hook.bumped, s + 1, hooks + (hook,)))
 
 
 def enumerate_coverings(
@@ -102,8 +107,8 @@ def enumerate_coverings(
     """Depth-first stream of all k! coverings, tunnel cells taken bottom-up."""
     start = build_diagram(mu, nu)
     _check_bound(start.k, max_k)
-    for hooks, deltas, sign, _ in _walk(start, start.k):
-        yield _covering(start.mu, start.nu, hooks, deltas, sign)
+    for hooks in _walk(start, start.k):
+        yield TunnelHookCovering(start.mu, start.nu, hooks)
 
 
 def covering_from_terminal_cells(
@@ -122,8 +127,6 @@ def covering_from_terminal_cells(
         raise ValueError(f"need {k} terminal cells, got {len(cells)}")
     nu_now = start.nu
     hooks = []
-    deltas = []
-    sign = 1
     for s, tau in enumerate(cells, start=1):
         tau = tuple(tau)
         p = tau[0] if tau else 0
@@ -131,10 +134,8 @@ def covering_from_terminal_cells(
             raise ValueError(f"{tau} is not a tunnel cell of the diagram")
         hook = TunnelHook.at(start.mu, nu_now, s, p)
         hooks.append(hook)
-        deltas.append(hook.delta)
-        sign *= hook.sign
         nu_now = hook.bumped
-    return _covering(start.mu, start.nu, tuple(hooks), tuple(deltas), sign)
+    return TunnelHookCovering(start.mu, start.nu, tuple(hooks))
 
 
 def covering_from_permutation(
@@ -162,44 +163,4 @@ def permutation_from_covering(covering: TunnelHookCovering) -> tuple[int, ...]:
     """sigma_i = p_i - q_i + 1; defined only for straight shapes (nu = 0)."""
     if any(covering.nu0):
         raise ValueError("the permutation bijection requires nu = 0")
-    assert covering.sigma is not None
     return covering.sigma
-
-
-def transpose_covering(covering: TunnelHookCovering, i: int) -> TunnelHookCovering:
-    """The covering whose permutation is sigma with values at i, i+1 swapped.
-
-    Flips the total sign and preserves delta entries away from i, i+1 as
-    well as the sum delta_i + delta_{i+1}.
-    """
-    if any(covering.nu0):
-        raise ValueError("transposition is defined only for straight shapes")
-    sigma = list(permutation_from_covering(covering))
-    if not 1 <= i < len(sigma):
-        raise ValueError(f"row index {i} out of range")
-    sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-    return covering_from_permutation(covering.mu, sigma, max_k=len(sigma))
-
-
-def delta_sign_stream(
-    mu: Iterable[int],
-    nu: Optional[Iterable[int]] = None,
-    *,
-    depth: Optional[int] = None,
-    max_k: int = DEFAULT_MAX_K,
-) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """(delta_seq, sign, nu_after) per covering of the bottom depth rows.
-
-    depth defaults to all k rows; nu_after is the inner shape once those
-    hooks are absorbed. The same walk and order as enumerate_coverings.
-    The prefix decomposition reads it at depth m; the H fold has its own
-    walk, which skips the coverings a negative subscript kills.
-    """
-    start = build_diagram(mu, nu)
-    _check_bound(start.k, max_k)
-    k = start.k
-    stop = k if depth is None else depth
-    if not 0 <= stop <= k:
-        raise ValueError(f"need 0 <= depth <= {k}, got {depth}")
-    for _, deltas, sign, nu_after in _walk(start, stop):
-        yield deltas, sign, nu_after

@@ -225,6 +225,7 @@ def _row_letters(diagram: GbprDiagram, i: int, width: int) -> list[str]:
 
 
 _OVERLAY_MARKS = "123456789abcdefghijklmnopqrstuvwxyz"
+_MAX_RENDER_WIDTH = 1000
 
 
 def render(
@@ -237,7 +238,8 @@ def render(
     Letters: G grey, B blue, R red, P explicit purple marker at column
     nu_i+1 in rows with no blue or red, '.' elsewhere. Overlay hooks are
     numbered and replace the letters on their cells; a legend gives each
-    hook's terminal, sign, and delta.
+    hook's terminal, sign, and delta. More than 35 hooks, or a drawing
+    wider than 1000 columns, raises before anything is drawn.
     """
     overlay = overlay or []
     if len(overlay) > len(_OVERLAY_MARKS):
@@ -245,11 +247,18 @@ def render(
             f"cannot overlay {len(overlay)} hooks: only "
             f"{len(_OVERLAY_MARKS)} distinct marks"
         )
+    # A hook's cells in row i end at column bumped_i, so the width is known
+    # before any row or cell set is built.
     width = max(
         [_row_width(diagram, i) for i in range(1, diagram.k + 1)]
-        + [q for h in overlay for _, q in h.cells]
+        + [max(h.bumped[h.start_row - 1:h.terminal[0]]) for h in overlay]
         + [1]
     )
+    if width > _MAX_RENDER_WIDTH:
+        raise ValueError(
+            f"cannot render a diagram {width} cells wide: the limit is "
+            f"{_MAX_RENDER_WIDTH}"
+        )
     grid = {i: _row_letters(diagram, i, width) for i in range(1, diagram.k + 1)}
     for mark, hook in zip(_OVERLAY_MARKS, overlay):
         for row, col in hook.cells:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .compositions import compositions_of, is_partition
-from .coverings import DEFAULT_MAX_K, _check_bound, delta_sign_stream
+from .coverings import DEFAULT_MAX_K, _check_bound, _sign, _walk
 from .diagram import build_diagram, pad_pair, step
 from .expr import BasisExpr
 
@@ -133,9 +133,12 @@ def skew_prefix_decomposition(
     k = len(mu)
     if not 1 <= m <= k:
         raise ValueError(f"need 1 <= m <= {k}, got {m}")
+    start = build_diagram(mu)
+    _check_bound(k, max_k)
     return [
-        (sign, prefix, (mu[m:], nu_after[m:]))
-        for prefix, sign, nu_after in delta_sign_stream(mu, depth=m, max_k=max_k)
+        (_sign(hooks), tuple([h.delta for h in hooks]),
+         (mu[m:], hooks[-1].bumped[m:]))
+        for hooks in _walk(start, m)
     ]
 
 

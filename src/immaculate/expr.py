@@ -22,19 +22,6 @@ _TEXT_TOKEN = {"H": "H", "R": "R", "M": "M", "dI": "dI", "h_sym": "h"}
 _LATEX_TOKEN = {"H": "H", "R": "R", "M": "M", "dI": "I^{*}", "h_sym": "h"}
 
 
-def normalize_h_index(raw: Iterable[int]) -> Optional[Index]:
-    """Normalize a raw H subscript sequence.
-
-    A negative entry kills the whole monomial (H_a = 0 for a < 0), so None
-    is returned.  Zeros are deleted (H_0 = 1).  The result, when not None,
-    is a strong composition.
-    """
-    seq = tuple(raw)
-    if any(a < 0 for a in seq):
-        return None
-    return tuple(a for a in seq if a != 0)
-
-
 class BasisExpr:
     """Immutable linear combination over one basis family.
 

@@ -54,10 +54,12 @@ def im2rib_class(alpha: Iterable[int]) -> Optional[int]:
     """Smallest J with alpha_l >= l for l <= J and alpha_l = J after, if any.
 
     Membership marks the shapes whose ribbon expansion is given by the
-    direct signed-permutation formula below. J = 0 holds, among strong
-    compositions, only for the empty one: I_() = 1 = R_().
+    direct signed-permutation formula below. J = 0 holds only for the
+    empty composition: I_() = 1 = R_(). A part below 1 raises.
     """
     alpha = tuple(alpha)
+    if any(a < 1 for a in alpha):
+        raise ValueError(f"alpha must be a strong composition: {alpha}")
     k = len(alpha)
     for J in range(k + 1):
         if all(alpha[l - 1] >= l for l in range(1, J + 1)) and all(
@@ -79,11 +81,10 @@ def immaculate_to_ribbon_direct(
     The covering of alpha with permutation sigma has subscripts
     alpha_i - i + sigma_i and sign sign(sigma), so the sum is the covering
     fold with "a part <= 0 kills": it visits only the coverings whose
-    prefix parts are all positive. More than max_k parts raise.
+    prefix parts are all positive. A part below 1, or more than max_k
+    parts, raises.
     """
     alpha = tuple(alpha)
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"alpha must be a strong composition: {alpha}")
     if im2rib_class(alpha) is None and not force:
         raise ValueError(
             f"{alpha} is outside the proven class for the direct ribbon "

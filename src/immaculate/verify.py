@@ -41,6 +41,7 @@ from .oracles import (
 )
 from .ribbon import (
     H_to_ribbon,
+    im2rib_class,
     immaculate_to_ribbon_direct,
     ribbon_product,
     ribbon_to_H,
@@ -244,19 +245,18 @@ def check_signs(n_random_mu: int = 10, seed: int = 3) -> dict:
             g = covering_from_permutation(mu, sigma)
             if g.total_sign != permutation_sign(sigma):
                 failures.append(f"sign mismatch for {mu}, {sigma}")
+            delta_seq = g.delta_seq
             for r, hook in enumerate(g.hooks):
                 covered_rows = sum(1 for e in hook.eta if e > 0)
                 if covered_rows != code[r] + 1:
                     failures.append(f"row count mismatch for {mu}, {sigma}, hook {r + 1}")
-                if g.delta_seq[r] != mu[r] - (r + 1) + sigma[r]:
+                if delta_seq[r] != mu[r] - (r + 1) + sigma[r]:
                     failures.append(f"delta mismatch for {mu}, {sigma}, hook {r + 1}")
     return _report("signs", failures)
 
 
 def check_ribbon(max_n: int = 8, max_rows: int = 5, rect_area: int = 12,
                  rect_max_rows: int = 8) -> dict:
-    from .ribbon import im2rib_class
-
     failures = []
     seen = set()
     for n in range(1, max_n + 1):
@@ -270,7 +270,7 @@ def check_ribbon(max_n: int = 8, max_rows: int = 5, rect_area: int = 12,
                 seen.add((m,) * k)
     for alpha in sorted(seen):
         direct = immaculate_to_ribbon_direct(alpha)
-        reference = H_to_ribbon(immaculate_to_H(alpha, max_k=len(alpha)))
+        reference = H_to_ribbon(ndet_expand(jacobi_trudi_matrix(alpha)))
         if direct != reference:
             failures.append(f"ribbon expansion mismatch at {alpha}")
     return _report("ribbon", failures)

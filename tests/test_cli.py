@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,14 @@ def test_expand_ribbon_zero_skew_is_straight(capsys):
 
 
 @pytest.mark.parametrize("force", [(), ("--force",)])
+def test_expand_ribbon_rejects_zero_part(capsys, force):
+    code, out, err = run(capsys, "expand", "immaculate", "--shape", "0",
+                         "--basis", "R", *force)
+    assert (code, out) == (1, "")
+    assert err == "error: alpha must be a strong composition: (0,)\n"
+
+
+@pytest.mark.parametrize("force", [(), ("--force",)])
 def test_expand_ribbon_empty_composition(capsys, force):
     # I_() = 1 = R_(), inside the class with J = 0, like the H basis
     code, out, err = run(capsys, "expand", "immaculate", "--shape=",
@@ -139,7 +148,8 @@ def test_thc_list(capsys):
 def test_thc_list_pads_short_shape(capsys):
     # an inner shape longer than the shape pads the shape with zero rows,
     # in thc list as in expand
-    from immaculate.expr import BasisExpr, normalize_h_index
+    from helpers import normalize_h_index
+    from immaculate.expr import BasisExpr
 
     code, out, _ = run(capsys, "thc", "list", "--shape", "2,1",
                        "--skew", "1,0,0", "--format", "json")
@@ -170,7 +180,8 @@ def test_thc_rejects_non_partition_inner_shape(capsys):
 def test_thc_on_straightened_shape_matches_expand(capsys):
     # following the advice: thc list on the straightened shape folds, with
     # the straightening sign, to the expand result
-    from immaculate.expr import BasisExpr, normalize_h_index
+    from helpers import normalize_h_index
+    from immaculate.expr import BasisExpr
 
     code, out, _ = run(capsys, "straighten", "--shape", "2,5,3",
                        "--skew", "1,3", "--format", "json")
@@ -241,6 +252,22 @@ def test_thc_render_too_many_hooks(capsys):
             assert code == 0 and "hook z:" in out
         else:
             assert code == 1 and out == "" and "marks" in err
+
+
+@pytest.mark.parametrize("sigma", [(), ("--sigma", "1,2")])
+def test_thc_render_too_wide(capsys, sigma):
+    # a row two billion cells wide is refused before its row or its hook's
+    # cell set is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "thc", "render",
+                             "--shape", "3,2000000000", *sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert "2000000000 cells wide: the limit is 1000" in err
+    assert peak < 1_000_000
 
 
 def test_verify_single_suite(capsys):

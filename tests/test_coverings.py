@@ -8,14 +8,13 @@ import pytest
 from immaculate.compositions import lehmer_code, permutation_sign
 from immaculate.coverings import (
     TunnelHookCovering,
+    _walk,
     covering_from_permutation,
     covering_from_terminal_cells,
-    delta_sign_stream,
     enumerate_coverings,
     permutation_from_covering,
-    transpose_covering,
 )
-from immaculate.diagram import TunnelHook
+from immaculate.diagram import TunnelHook, build_diagram
 
 
 def test_enumerate_313():
@@ -83,21 +82,23 @@ def test_replay_rejects_bad_cells(cells, message):
         covering_from_terminal_cells((3, 1, 3), None, cells)
 
 
+def walk(mu, nu, depth):
+    return list(_walk(build_diagram(mu, nu), depth))
+
+
 def test_delta_stream_matches_full_enumeration():
+    # the walk at full depth yields the hooks of every covering, in order
     rng = random.Random(1)
     for _ in range(10):
         k = rng.randint(1, 5)
         mu = tuple(rng.randint(-3, 5) for _ in range(k))
         nu = tuple(sorted((rng.randint(0, 3) for _ in range(k)), reverse=True))
-        full = [(g.delta_seq, g.total_sign, g.hooks[-1].bumped)
-                for g in enumerate_coverings(mu, nu)]
-        assert list(delta_sign_stream(mu, nu)) == full
-        assert list(delta_sign_stream(mu, nu, depth=k)) == full
+        assert walk(mu, nu, k) == [g.hooks for g in enumerate_coverings(mu, nu)]
 
 
 def test_delta_stream_depth_cuts_every_covering():
     # the walk cut at depth d visits each distinct first-d-hook choice once,
-    # in covering order, with the partial sign and the inner shape after it
+    # in covering order
     rng = random.Random(2)
     for _ in range(10):
         k = rng.randint(1, 5)
@@ -107,45 +108,29 @@ def test_delta_stream_depth_cuts_every_covering():
         for d in range(k + 1):
             expected = []
             for g in coverings:
-                head = g.hooks[:d]
-                entry = (
-                    g.delta_seq[:d],
-                    math.prod(h.sign for h in head),
-                    head[-1].bumped if head else tuple(g.nu0),
-                )
-                if entry not in expected:
-                    expected.append(entry)
-            assert list(delta_sign_stream(mu, nu, depth=d)) == expected
+                if g.hooks[:d] not in expected:
+                    expected.append(g.hooks[:d])
+            assert walk(mu, nu, d) == expected
             assert len(expected) == math.factorial(k) // math.factorial(k - d)
 
 
 def reference_walk(mu, nu, depth):
-    """(hooks, nu_after) per covering of the bottom depth rows, by recursion."""
+    """Per covering of the bottom depth rows: its hooks, and its subscripts,
+    sign and terminal cells from the closed forms, by recursion."""
     k = len(mu)
 
-    def walk(nu_now, s, hooks):
+    def walk(nu_now, s, hooks, deltas, sign, cells):
         if s > depth:
-            yield hooks, nu_now
+            yield hooks, deltas, sign, cells
             return
         for p in range(s, k + 1):
             hook = TunnelHook.at(mu, nu_now, s, p)
-            yield from walk(hook.bumped, s + 1, hooks + (hook,))
+            yield from walk(hook.bumped, s + 1, hooks + (hook,),
+                            deltas + (mu[s - 1] - nu_now[p - 1] + p - s,),
+                            sign * (-1) ** (p - s),
+                            cells + ((p, nu_now[p - 1] + 1),))
 
-    yield from walk(nu, 1, ())
-
-
-def reference_records(mu, nu, depth):
-    """enumerate_coverings records (depth k) and delta_sign_stream triples."""
-    coverings, stream = [], []
-    for hooks, nu_after in reference_walk(mu, nu, depth):
-        deltas = tuple(h.delta for h in hooks)
-        sign = math.prod(h.sign for h in hooks)
-        sigma = None
-        if not any(nu):
-            sigma = tuple(h.terminal[0] - h.terminal[1] + 1 for h in hooks)
-        coverings.append(TunnelHookCovering(mu, nu, hooks, deltas, sign, sigma))
-        stream.append((deltas, sign, nu_after))
-    return coverings, stream
+    yield from walk(nu, 1, (), (), 1, ())
 
 
 def test_walk_matches_reference_record_for_record():
@@ -154,30 +139,31 @@ def test_walk_matches_reference_record_for_record():
         k = rng.randint(0, 6)
         mu = tuple(rng.randint(-3, 6) for _ in range(k))
         nu = tuple(sorted((rng.randint(0, 4) for _ in range(k)), reverse=True))
-        coverings, stream = reference_records(mu, nu, k)
-        assert list(enumerate_coverings(mu, nu)) == coverings
-        assert list(delta_sign_stream(mu, nu)) == stream
+        reference = list(reference_walk(mu, nu, k))
+        coverings = list(enumerate_coverings(mu, nu))
+        assert len(coverings) == len(reference)
+        for g, (hooks, deltas, sign, cells) in zip(coverings, reference):
+            assert g == TunnelHookCovering(mu, nu, hooks)
+            assert g.delta_seq == deltas
+            assert g.total_sign == sign
+            assert g.terminal_cells == cells
+            assert g.sigma == (
+                None if any(nu) else tuple(p - q + 1 for p, q in cells))
         for d in range(k):
-            assert list(delta_sign_stream(mu, nu, depth=d)) == (
-                reference_records(mu, nu, d)[1])
+            assert walk(mu, nu, d) == [
+                hooks for hooks, _, _, _ in reference_walk(mu, nu, d)]
 
 
 def test_interleaved_walks_keep_their_own_state():
-    # two live generators on shapes with the same states (s, nu_now) but
+    # two live walks on shapes with the same states (s, nu_now) but
     # different hooks, stepped in turn, each match their own reference
     a, b, nu = (3, 1, 3, 0), (2, 2, 4, 1), (1, 1, 0, 0)
-    for index, make in enumerate((enumerate_coverings, delta_sign_stream)):
-        got_a, got_b = [], []
-        for x, y in zip(make(a, nu), make(b, nu)):
-            got_a.append(x)
-            got_b.append(y)
-        assert got_a == reference_records(a, nu, 4)[index]
-        assert got_b == reference_records(b, nu, 4)[index]
-
-
-def test_delta_stream_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        next(delta_sign_stream((2, 1), depth=3))
+    got_a, got_b = [], []
+    for x, y in zip(_walk(build_diagram(a, nu), 4), _walk(build_diagram(b, nu), 4)):
+        got_a.append(x)
+        got_b.append(y)
+    assert got_a == [hooks for hooks, _, _, _ in reference_walk(a, nu, 4)]
+    assert got_b == [hooks for hooks, _, _, _ in reference_walk(b, nu, 4)]
 
 
 def test_covering_from_permutation_example():
@@ -236,57 +222,6 @@ def test_sign_lehmer_delta_invariants():
                 assert g.delta_seq[r] == mu[r] - (r + 1) + sigma[r]
 
 
-def test_transpose_is_involution():
-    for sigma in permutations(range(1, 4)):
-        g = covering_from_permutation((2, 2, 2), sigma)
-        for i in (1, 2):
-            assert transpose_covering(transpose_covering(g, i), i) == g
-
-
-def test_transpose_flips_sign_preserves_other_deltas():
-    for sigma in permutations(range(1, 4)):
-        g = covering_from_permutation((2, 2, 2), sigma)
-        for i in (1, 2):
-            h = transpose_covering(g, i)
-            assert h.total_sign == -g.total_sign
-            assert h.delta_seq[i - 1] + h.delta_seq[i] == (
-                g.delta_seq[i - 1] + g.delta_seq[i]
-            )
-            for j in range(3):
-                if j not in (i - 1, i):
-                    assert h.delta_seq[j] == g.delta_seq[j]
-
-
-def test_transpose_terminal_cell_surgery():
-    # only the two swapped hooks move, and they move to predictable cells
-    rng = random.Random(4)
-    for _ in range(30):
-        k = rng.randint(2, 5)
-        mu = tuple(rng.randint(-2, 5) for _ in range(k))
-        sigma = list(range(1, k + 1))
-        rng.shuffle(sigma)
-        g = covering_from_permutation(mu, tuple(sigma))
-        i = rng.randint(1, k - 1)
-        h = transpose_covering(g, i)
-        old = g.terminal_cells
-        new = h.terminal_cells
-        assert new[:i - 1] == old[:i - 1] and new[i + 1:] == old[i + 1:]
-        (p1, q1), (p2, q2) = old[i - 1], old[i]
-        if p1 - q1 < p2 - q2:
-            assert new[i - 1] == (p2, q2) and new[i] == (p1 + 1, q1 + 1)
-        else:
-            assert new[i - 1] == (p2 - 1, q2 - 1) and new[i] == (p1, q1)
-
-
-def test_transpose_rejects_skew_and_bad_index():
-    g = next(enumerate_coverings((2, 2), (1, 0)))
-    with pytest.raises(ValueError):
-        transpose_covering(g, 1)
-    g = covering_from_permutation((2, 2), (1, 2))
-    with pytest.raises(ValueError):
-        transpose_covering(g, 2)
-
-
 def test_json_shape():
     g = covering_from_permutation((3, 1, 3), (2, 1, 3))
     data = g.to_json_dict()
@@ -296,3 +231,14 @@ def test_json_shape():
         "sign": -1,
         "sigma": [2, 1, 3],
     }
+    skew = next(enumerate_coverings((3, 1, 3), (1, 0, 0)))
+    assert skew.to_json_dict() == {
+        "terminal_cells": [[1, 2], [2, 1], [3, 1]],
+        "delta": [2, 1, 3],
+        "sign": 1,
+        "sigma": None,
+    }
+
+
+def test_covering_stores_only_its_hooks():
+    assert TunnelHookCovering._fields == ("mu", "nu0", "hooks")

@@ -210,6 +210,23 @@ def test_render_deterministic():
     assert render(d) == render(d)
 
 
+def test_render_width_bound():
+    # 1000 columns render; one more, from the diagram or from an overlay
+    # hook, raises
+    assert len(render(build_diagram((1000,))).splitlines()[0]) == 1008
+    with pytest.raises(ValueError, match="1001 cells wide"):
+        render(build_diagram((1001,)))
+    # the second hook runs past the 999 columns of the diagram itself
+    for mu, width in (((1, -998), 1000), ((1, -999), 1001)):
+        hooks = list(covering_from_permutation(mu, (2, 1)).hooks)
+        assert max(q for h in hooks for _, q in h.cells) == width
+        if width == 1000:
+            assert render(build_diagram(mu), hooks).splitlines()[0].endswith("2")
+        else:
+            with pytest.raises(ValueError, match="1001 cells wide"):
+                render(build_diagram(mu), hooks)
+
+
 def test_render_latex_standalone():
     text = render(build_diagram((2, 1)), fmt="latex")
     assert text.startswith("\\documentclass{standalone}")

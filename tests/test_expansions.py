@@ -3,8 +3,9 @@ from itertools import permutations
 
 import pytest
 
+from helpers import normalize_h_index
 from immaculate.compositions import compositions_of
-from immaculate.coverings import delta_sign_stream
+from immaculate.coverings import enumerate_coverings
 from immaculate.expansions import (
     _fold_coverings,
     forgetful_to_h,
@@ -14,7 +15,7 @@ from immaculate.expansions import (
     skew_prefix_decomposition,
     straighten_skew,
 )
-from immaculate.expr import BasisExpr, normalize_h_index
+from immaculate.expr import BasisExpr
 from immaculate.oracles import jacobi_trudi_matrix, ndet_expand
 
 
@@ -69,10 +70,10 @@ def test_skew_vanishing_inner_shape():
 def _unpruned_fold(mu, nu, max_k=10):
     # every covering visited, each monomial normalized after the walk
     terms = {}
-    for delta, sign, _ in delta_sign_stream(mu, nu, max_k=max_k):
-        index = normalize_h_index(delta)
+    for g in enumerate_coverings(mu, nu, max_k=max_k):
+        index = normalize_h_index(g.delta_seq)
         if index is not None:
-            terms[index] = terms.get(index, 0) + sign
+            terms[index] = terms.get(index, 0) + g.total_sign
     return terms
 
 
@@ -195,6 +196,17 @@ def test_prefix_signs_and_order_follow_arrangements():
 def test_prefix_rejects_bad_m():
     with pytest.raises(ValueError):
         skew_prefix_decomposition((2, 1), 3)
+
+
+def test_prefix_validates_m_before_max_k():
+    # the prefix length is checked first, then the row bound
+    for m in (0, 12):
+        with pytest.raises(ValueError, match=rf"need 1 <= m <= 11, got {m}"):
+            skew_prefix_decomposition((1,) * 11, m)
+    with pytest.raises(ValueError, match=r"shape has 11 rows; enumeration is "
+                                         r"limited to 10"):
+        skew_prefix_decomposition((1,) * 11, 2)
+    assert len(skew_prefix_decomposition((1,) * 11, 2, max_k=11)) == 110
 
 
 def test_monomial_212():

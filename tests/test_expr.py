@@ -3,28 +3,7 @@ import random
 
 import pytest
 
-from immaculate.expr import BasisExpr, normalize_h_index
-
-
-def test_normalize_deletes_zeros():
-    assert normalize_h_index((3, 0, 3)) == (3, 3)
-
-
-def test_normalize_negative_kills():
-    assert normalize_h_index((1, -1, 2)) is None
-
-
-def test_normalize_identity_on_strong():
-    assert normalize_h_index((2, 5, 3)) == (2, 5, 3)
-
-
-def test_normalize_idempotent():
-    rng = random.Random(7)
-    for _ in range(100):
-        raw = tuple(rng.randint(-2, 4) for _ in range(rng.randint(0, 5)))
-        out = normalize_h_index(raw)
-        if out is not None:
-            assert normalize_h_index(out) == out
+from immaculate.expr import BasisExpr
 
 
 def test_add_cancellation():

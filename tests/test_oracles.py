@@ -3,8 +3,9 @@ import random
 from itertools import product
 from pathlib import Path
 
+from helpers import normalize_h_index
 from immaculate import oracles
-from immaculate.expr import BasisExpr, normalize_h_index
+from immaculate.expr import BasisExpr
 from immaculate.oracles import (
     commutative_jacobi_trudi,
     duality_transpose_check,

@@ -3,13 +3,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immaculate.coverings import delta_sign_stream
+from helpers import normalize_h_index
+from immaculate.coverings import enumerate_coverings
 from immaculate.expansions import (
     forgetful_to_h,
     immaculate_to_H,
     skew_immaculate_to_H,
 )
-from immaculate.expr import BasisExpr, normalize_h_index
+from immaculate.expr import BasisExpr
 from immaculate.oracles import (
     commutative_jacobi_trudi,
     jacobi_trudi_matrix,
@@ -43,8 +44,8 @@ def test_skew_expansion_equals_oracle(mu, nu):
 @given(shapes)
 def test_delta_entries_sum_to_shape_total(mu):
     # each covering redistributes the row totals without changing the sum
-    for delta, _, _ in delta_sign_stream(mu):
-        assert sum(delta) == sum(mu)
+    for g in enumerate_coverings(mu):
+        assert sum(g.delta_seq) == sum(mu)
 
 
 @given(st.lists(st.integers(-3, 5), max_size=6).map(tuple))

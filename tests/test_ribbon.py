@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -105,6 +106,17 @@ def test_class_empty_composition():
 def test_class_absent():
     assert im2rib_class((1, 1, 2, 3)) is None
     assert im2rib_class((3, 1, 3)) is None
+
+
+@pytest.mark.parametrize("alpha", [(0,), (0, 0), (2, 0)])
+def test_class_rejects_weak_composition(alpha):
+    # a zero part is not "in the class"; the direct formula rejects it too
+    message = f"alpha must be a strong composition: {alpha}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        im2rib_class(alpha)
+    for force in (False, True):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            immaculate_to_ribbon_direct(alpha, force=force)
 
 
 def test_direct_formula_examples():
