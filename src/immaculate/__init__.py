@@ -5,7 +5,6 @@ diagrams and verified against independent determinant oracles.
 """
 
 from .compositions import (
-    coarsen,
     coarsenings,
     compositions_of,
     lehmer_code,
@@ -60,7 +59,6 @@ __all__ = [
     "H_to_ribbon",
     "apply_hook",
     "build_diagram",
-    "coarsen",
     "coarsenings",
     "commutative_jacobi_trudi",
     "compositions_of",

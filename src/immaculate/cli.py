@@ -161,7 +161,8 @@ def build_parser() -> _Parser:
                         + ", ".join(CHECKS))
     p.add_argument("--n", type=int, default=None,
                    help=f"size cap, 1 to {_MAX_VERIFY_N}, for the sweeps that "
-                        "take one (their oracles grow like n!)")
+                        "take one (duality folds every composition of n "
+                        "once per composition of n)")
     p.add_argument("--seed", type=int, default=0,
                    help="one seed passed to every seeded check (default "
                         "0); the test suite runs each check with its own "

@@ -32,7 +32,7 @@ def is_partition(seq: Iterable[int]) -> bool:
     )
 
 
-def coarsen(alpha: tuple[int, ...], subset: Iterable[int]) -> tuple[int, ...]:
+def _coarsen(alpha: tuple[int, ...], subset: Iterable[int]) -> tuple[int, ...]:
     """Merge adjacent parts of alpha across the gaps listed in subset.
 
     Gap i (1-based) sits between alpha[i-1] and alpha[i]; including it in
@@ -56,7 +56,7 @@ def coarsenings(alpha: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], froze
     gaps = tuple(range(1, len(alpha)))
     for r in range(len(gaps) + 1):
         for subset in combinations(gaps, r):
-            yield coarsen(alpha, subset), frozenset(subset)
+            yield _coarsen(alpha, subset), frozenset(subset)
 
 
 def lehmer_code(sigma: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,42 +1,25 @@
 """Independent ground truth: determinant expansions and the duality check.
 
 These never touch the covering machinery, and share no code with it: the
-permutation sign, subscript normalization and composition listing are
-written here again on purpose. Only the `BasisExpr` container comes from
-the package. The noncommutative determinant is the signed sum over
-permutations with the factors of each monomial taken row by row from the
-top, which is what sequential top-row Laplace expansion produces.
+subscript rule and composition listing are written here again on purpose.
+Only the `BasisExpr` container comes from the package.
+
+The noncommutative determinant is the signed sum over permutations with
+the factors of each monomial taken row by row from the top, which is what
+sequential top-row Laplace expansion produces. `ndet_expand` runs that
+expansion down the rows with the set of columns used so far as its state,
+a bitmask: row i takes each unused column j, and the sign flips once for
+each used column to the right of j, which counts the inversions of the
+permutation. So 2^k column subsets stand in for the k! permutations.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Iterable, Iterator, Optional
 
 from .expr import BasisExpr
 
 IntSeq = tuple[int, ...]
-
-
-def _cycle_sign(sigma: IntSeq) -> int:
-    """(-1)^(k - c) for a permutation of 0..k-1 with c cycles."""
-    seen: set[int] = set()
-    cycles = 0
-    for i in range(len(sigma)):
-        if i in seen:
-            continue
-        cycles += 1
-        while i not in seen:
-            seen.add(i)
-            i = sigma[i]
-    return -1 if (len(sigma) - cycles) % 2 else 1
-
-
-def _h_subscript(raw: IntSeq) -> Optional[IntSeq]:
-    """H_a = 0 for a < 0 kills the monomial (None); H_0 = 1 drops out."""
-    if min(raw, default=0) < 0:
-        return None
-    return tuple(a for a in raw if a)
 
 
 def _compositions(n: int) -> Iterator[IntSeq]:
@@ -68,36 +51,44 @@ def jacobi_trudi_matrix(
 
 
 def ndet_expand(matrix: tuple[IntSeq, ...], *, max_k: int = 10) -> BasisExpr:
-    """Signed permutation sum with each monomial's factors in row order."""
+    """Row-ordered determinant by Laplace expansion over column subsets.
+
+    H_a = 0 for a < 0 kills a monomial and H_0 = 1 drops out of it.
+    """
     k = len(matrix)
     if any(len(row) != k for row in matrix):
         raise ValueError("matrix must be square")
     if k > max_k:
         raise ValueError(f"matrix has {k} rows; limit is {max_k}")
-    terms: dict[IntSeq, int] = {}
-    for sigma in permutations(range(k)):
-        raw = tuple(matrix[i][sigma[i]] for i in range(k))
-        index = _h_subscript(raw)
-        if index is not None:
-            terms[index] = terms.get(index, 0) + _cycle_sign(sigma)
-    return BasisExpr("H", terms)
+    states: dict[int, dict[IntSeq, int]] = {0: {(): 1}}
+    for row in matrix:
+        entries = [(j, (a,) if a else ()) for j, a in enumerate(row) if a >= 0]
+        nxt: dict[int, dict[IntSeq, int]] = {}
+        for used, partial in states.items():
+            for j, factor in entries:
+                if used >> j & 1:
+                    continue
+                sign = -1 if (used >> j).bit_count() % 2 else 1
+                terms = nxt.setdefault(used | 1 << j, {})
+                for index, coeff in partial.items():
+                    index += factor
+                    terms[index] = terms.get(index, 0) + sign * coeff
+        states = nxt
+    return BasisExpr("H", states.get((1 << k) - 1, {}))
 
 
 def commutative_jacobi_trudi(
     lam: Iterable[int], nu: Optional[Iterable[int]] = None, *, max_k: int = 10
 ) -> BasisExpr:
-    """Determinant of h_(lam_i - i - (nu_j - j)) in commuting variables."""
-    matrix = jacobi_trudi_matrix(lam, nu)
-    if len(matrix) > max_k:
-        raise ValueError(f"matrix has {len(matrix)} rows; limit is {max_k}")
+    """Determinant of h_(lam_i - i - (nu_j - j)) in commuting variables.
+
+    The commutative image of `ndet_expand`: each H index sorted into a
+    partition, coefficients summed.
+    """
     terms: dict[IntSeq, int] = {}
-    k = len(matrix)
-    for sigma in permutations(range(k)):
-        raw = tuple(matrix[i][sigma[i]] for i in range(k))
-        index = _h_subscript(raw)
-        if index is not None:
-            key = tuple(sorted(index, reverse=True))
-            terms[key] = terms.get(key, 0) + _cycle_sign(sigma)
+    for index, coeff in ndet_expand(jacobi_trudi_matrix(lam, nu), max_k=max_k).items():
+        key = tuple(sorted(index, reverse=True))
+        terms[key] = terms.get(key, 0) + coeff
     return BasisExpr("h_sym", terms)
 
 

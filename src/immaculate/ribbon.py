@@ -2,7 +2,9 @@
 
 The ribbon and complete homogeneous bases are related by triangular sums
 over the refinement order: R in terms of H alternates in the length drop,
-H in terms of R is the plain sum over coarsenings.
+H in terms of R is the plain sum over coarsenings. An index with l parts
+has 2^(l-1) coarsenings, so both conversions refuse an index with more than
+20 parts before building any term.
 """
 
 from __future__ import annotations
@@ -16,11 +18,24 @@ from .expr import BasisExpr
 
 Index = tuple[int, ...]
 
+_MAX_CONVERSION_PARTS = 20
+
+
+def _check_conversion_size(expr: BasisExpr) -> None:
+    """An index with l parts has 2^(l-1) coarsenings: bound l first."""
+    longest = max((len(alpha) for alpha, _ in expr.items()), default=0)
+    if longest > _MAX_CONVERSION_PARTS:
+        raise ValueError(
+            f"cannot convert an index with {longest} parts: the limit is "
+            f"{_MAX_CONVERSION_PARTS} (2^(parts-1) terms per index)"
+        )
+
 
 def ribbon_to_H(expr: BasisExpr) -> BasisExpr:
     """R_alpha = sum over coarsenings beta of (-1)^(len drop) H_beta."""
     if expr.basis != "R":
         raise ValueError(f"expected basis R, got {expr.basis}")
+    _check_conversion_size(expr)
     terms: dict[Index, int] = {}
     for alpha, coeff in expr.items():
         for beta, subset in coarsenings(alpha):
@@ -33,6 +48,7 @@ def H_to_ribbon(expr: BasisExpr) -> BasisExpr:
     """H_alpha = sum of R_beta over all coarsenings beta of alpha."""
     if expr.basis != "H":
         raise ValueError(f"expected basis H, got {expr.basis}")
+    _check_conversion_size(expr)
     terms: dict[Index, int] = {}
     for alpha, coeff in expr.items():
         for beta, _ in coarsenings(alpha):

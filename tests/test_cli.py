@@ -105,6 +105,16 @@ def test_expand_ribbon_product(capsys):
     assert out.strip() == "R(1,1,2) + R(1,3)"
 
 
+@pytest.mark.parametrize("src, dst", [("H", "R"), ("R", "H")])
+def test_convert_refuses_more_than_20_parts(capsys, src, dst):
+    shape = ",".join(["1"] * 21)
+    code, out, err = run(capsys, "convert", "--from", src, "--to", dst,
+                         f"--shape={shape}")
+    assert (code, out) == (1, "")
+    assert err == ("error: cannot convert an index with 21 parts: the limit "
+                   "is 20 (2^(parts-1) terms per index)\n")
+
+
 def test_convert_both_ways(capsys):
     code, out, _ = run(capsys, "convert", "--from", "H", "--to", "R",
                        "--shape", "2,1")
@@ -285,7 +295,8 @@ def test_verify_rejects_nonpositive_n(capsys, n, suite):
 
 @pytest.mark.parametrize("n", ["0", "9"])
 def test_verify_rejects_n_out_of_range(capsys, n):
-    # the oracle sums grow like n!, so a large --n would hang, not fail
+    # duality folds every composition of n once per composition of n,
+    # so a large --n would hang, not fail
     code, out, err = run(capsys, "verify", "--n", n, "--suite", "duality")
     assert (code, out) == (1, "")
     assert err == f"error: --n must be between 1 and 8, got {n}\n"

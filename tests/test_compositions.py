@@ -3,7 +3,7 @@ from itertools import permutations
 import pytest
 
 from immaculate.compositions import (
-    coarsen,
+    _coarsen,
     coarsenings,
     compositions_of,
     is_partition,
@@ -21,20 +21,20 @@ def test_compositions_count():
 
 def test_coarsen_example():
     alpha = (5, 2, 1, 4, 3, 3, 2, 6, 2, 3)
-    assert coarsen(alpha, {2, 3, 5, 8}) == (5, 7, 6, 2, 8, 3)
+    assert _coarsen(alpha, {2, 3, 5, 8}) == (5, 7, 6, 2, 8, 3)
 
 
 def test_coarsen_empty_set():
-    assert coarsen((4, 1, 2), set()) == (4, 1, 2)
+    assert _coarsen((4, 1, 2), set()) == (4, 1, 2)
 
 
 def test_coarsen_full_merge():
-    assert coarsen((1, 1), {1}) == (2,)
+    assert _coarsen((1, 1), {1}) == (2,)
 
 
 def test_coarsen_out_of_range():
     with pytest.raises(ValueError):
-        coarsen((1, 2), {2})
+        _coarsen((1, 2), {2})
 
 
 def test_coarsenings_small():

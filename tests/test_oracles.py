@@ -3,8 +3,11 @@ import random
 from itertools import product
 from pathlib import Path
 
-from helpers import normalize_h_index
+import pytest
+
+from helpers import normalize_h_index, permutation_determinant
 from immaculate import oracles
+from immaculate.compositions import compositions_of
 from immaculate.expr import BasisExpr
 from immaculate.oracles import (
     commutative_jacobi_trudi,
@@ -77,6 +80,65 @@ def test_ndet_agrees_with_laplace():
             tuple(rng.randint(-2, 4) for _ in range(k)) for _ in range(k)
         )
         assert ndet_expand(matrix) == _laplace(matrix)
+
+
+def _terms(expr):
+    return dict(expr.items())
+
+
+def test_ndet_matches_permutation_sum_on_skew_matrices():
+    rng = random.Random(11)
+    for k in range(8):
+        for _ in range(40 if k < 6 else 8):
+            mu = tuple(rng.randint(-3, 6) for _ in range(k))
+            nu = tuple(rng.randint(-3, 6) for _ in range(k))
+            matrix = jacobi_trudi_matrix(mu, nu)
+            assert _terms(ndet_expand(matrix)) == permutation_determinant(matrix), (mu, nu)
+
+
+def test_ndet_matches_permutation_sum_on_raw_matrices():
+    rng = random.Random(12)
+    for k in range(7):
+        for _ in range(30 if k < 6 else 5):
+            matrix = tuple(
+                tuple(rng.randint(-2, 4) for _ in range(k)) for _ in range(k)
+            )
+            assert _terms(ndet_expand(matrix)) == permutation_determinant(matrix), matrix
+
+
+def test_ndet_matches_permutation_sum_on_compositions():
+    for n in range(8):
+        for alpha in compositions_of(n):
+            matrix = jacobi_trudi_matrix(alpha)
+            assert _terms(ndet_expand(matrix)) == permutation_determinant(matrix), alpha
+
+
+def test_commutative_matches_sorted_permutation_sum():
+    rng = random.Random(13)
+    for k in range(7):
+        for _ in range(20):
+            lam = tuple(rng.randint(-3, 6) for _ in range(k))
+            nu = tuple(rng.randint(-3, 6) for _ in range(k))
+            want = permutation_determinant(jacobi_trudi_matrix(lam, nu),
+                                           commutative=True)
+            assert _terms(commutative_jacobi_trudi(lam, nu)) == want, (lam, nu)
+
+
+def test_ndet_rejects_non_square():
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        ndet_expand(((1, 2), (3,)))
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        ndet_expand(((1, 2),))
+
+
+def test_oracles_reject_more_than_max_k_rows():
+    matrix = jacobi_trudi_matrix((1,) * 11)
+    with pytest.raises(ValueError, match="^matrix has 11 rows; limit is 10$"):
+        ndet_expand(matrix)
+    with pytest.raises(ValueError, match="^matrix has 11 rows; limit is 10$"):
+        commutative_jacobi_trudi((1,) * 11)
+    with pytest.raises(ValueError, match="^matrix has 3 rows; limit is 2$"):
+        ndet_expand(jacobi_trudi_matrix((1, 2, 3)), max_k=2)
 
 
 def test_commutative_skew_example():

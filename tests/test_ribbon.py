@@ -8,6 +8,7 @@ from immaculate.compositions import compositions_of, permutation_sign
 from immaculate.expansions import immaculate_to_H
 from immaculate.expr import BasisExpr
 from immaculate.ribbon import (
+    _check_conversion_size,
     H_to_ribbon,
     im2rib_class,
     immaculate_to_ribbon_direct,
@@ -24,6 +25,22 @@ def test_ribbon_to_H_basics():
     assert ribbon_to_H(BasisExpr.term("R", (1, 1))) == BasisExpr(
         "H", {(1, 1): 1, (2,): -1}
     )
+
+
+@pytest.mark.parametrize("convert, basis", [(H_to_ribbon, "H"), (ribbon_to_H, "R")])
+@pytest.mark.parametrize("parts", [21, 30, 64])
+def test_conversions_refuse_more_than_20_parts(convert, basis, parts):
+    # 2^(parts-1) coarsenings per index; refused before any term is built,
+    # whichever index of the expression is the long one
+    expr = BasisExpr(basis, {(2, 1): 3, (1,) * parts: -1})
+    with pytest.raises(ValueError, match=(
+            f"^cannot convert an index with {parts} parts: the limit is 20 ")):
+        convert(expr)
+
+
+def test_conversion_bound_admits_20_parts():
+    _check_conversion_size(BasisExpr.term("H", (1,) * 20))
+    _check_conversion_size(BasisExpr.zero("R"))
 
 
 def test_H_to_ribbon_basics():
