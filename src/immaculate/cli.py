@@ -3,8 +3,8 @@
 Shapes are comma-separated integers (negatives allowed), e.g. `3,1,3` or
 `-1,3,2`; `--shape -1,3,2` and `--shape=-1,3,2` are the same. Skew inner
 shapes go through `--skew`. Output format comes from `--format` or the
-IMMACULATE_FORMAT environment variable (text, json, or latex; default
-text).
+IMMACULATE_FORMAT environment variable (text, json, or latex, as far as
+the command can print it; default text).
 
 Exit codes: 0 success, 1 usage error, 2 verification failure.
 """
@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -32,19 +31,15 @@ from .expansions import (
     straighten_skew,
 )
 from .expr import BasisExpr
-from .ribbon import (
-    H_to_ribbon,
-    im2rib_class,
-    immaculate_to_ribbon_direct,
-    ribbon_product,
-    ribbon_to_H,
-)
-from .verify import CHECKS, run_suite
 
 USAGE_ERROR = 1
 VERIFY_FAILURE = 2
 _MAX_VERIFY_N = 8
+#: What each kind of output can be printed as: an expression, a list of
+#: records (straighten, decompose, thc list) and a drawing (thc render).
 FORMATS = ("text", "json", "latex")
+RECORD_FORMATS = ("text", "json")
+DRAWING_FORMATS = ("text", "latex")
 SHAPE_OPTIONS = ("--shape", "--skew", "--times", "--sigma")
 
 
@@ -77,9 +72,16 @@ def _attach_negative_shapes(argv: list[str]) -> list[str]:
     return out
 
 
-def _default_format() -> str:
+def _default_format(formats: tuple[str, ...]) -> str:
     fmt = os.environ.get("IMMACULATE_FORMAT", "text")
-    return fmt if fmt in FORMATS else "text"
+    return fmt if fmt in formats else "text"
+
+
+def _dumps(obj) -> str:
+    """json.dumps, with json imported only by the calls that print JSON."""
+    import json
+
+    return json.dumps(obj)
 
 
 def _emit(expr: BasisExpr, fmt: str, tag: Optional[str] = None) -> None:
@@ -87,7 +89,7 @@ def _emit(expr: BasisExpr, fmt: str, tag: Optional[str] = None) -> None:
         payload = expr.to_json_dict()
         if tag:
             payload["tag"] = tag
-        print(json.dumps(payload))
+        print(_dumps(payload))
         return
     if tag:
         print(f"[{tag}]")
@@ -98,14 +100,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="immaculate", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default=_default_format())
+    def add_format(p, formats=FORMATS):
+        p.add_argument("--format", choices=formats,
+                       default=_default_format(formats))
 
-    def add_common(p, skew=True):
+    def add_common(p, skew=True, formats=FORMATS):
         p.add_argument("--shape", type=_parse_shape, required=True)
         if skew:
             p.add_argument("--skew", type=_parse_shape, default=None)
-        add_format(p)
+        add_format(p, formats)
         p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K)
 
     expand = sub.add_parser("expand", help="expand a basis element")
@@ -138,27 +141,27 @@ def build_parser() -> _Parser:
                        help="normalize a skew inner shape to a partition")
     p.add_argument("--shape", type=_parse_shape, required=True)
     p.add_argument("--skew", type=_parse_shape, required=True)
-    add_format(p)
+    add_format(p, RECORD_FORMATS)
 
     p = sub.add_parser("decompose",
                        help="split off the bottom rows as H-prefixes")
-    add_common(p, skew=False)
+    add_common(p, skew=False, formats=RECORD_FORMATS)
     p.add_argument("--prefix", type=int, required=True, metavar="M")
 
     thc = sub.add_parser("thc", help="tunnel hook coverings and diagrams")
     thc_sub = thc.add_subparsers(dest="what", required=True)
     p = thc_sub.add_parser("list", help="list all coverings of a shape")
-    add_common(p)
+    add_common(p, formats=RECORD_FORMATS)
     p = thc_sub.add_parser("render", help="draw a diagram, optionally with "
                                           "one covering overlaid")
-    add_common(p)
+    add_common(p, formats=DRAWING_FORMATS)
     p.add_argument("--sigma", type=_parse_shape, default=None,
                    help="overlay the covering of this permutation (nu = 0 only)")
 
     p = sub.add_parser("verify", help="run self-check sweeps")
     p.add_argument("--suite", default="all",
-                   help="'all' or a comma-separated subset of: "
-                        + ", ".join(CHECKS))
+                   help="'all' or a comma-separated subset of the checks; "
+                        "an unknown name lists them")
     p.add_argument("--n", type=int, default=None,
                    help=f"size cap, 1 to {_MAX_VERIFY_N}, for the sweeps that "
                         "take one (duality folds every composition of n "
@@ -176,6 +179,8 @@ def _cmd_expand_immaculate(args) -> int:
         expr = skew_immaculate_to_H(args.shape, args.skew, max_k=args.max_k)
         _emit(expr, args.format)
         return 0
+    from .ribbon import im2rib_class, immaculate_to_ribbon_direct
+
     if args.skew and any(args.skew):
         print("error: ribbon expansion is only available for straight shapes",
               file=sys.stderr)
@@ -199,11 +204,15 @@ def _cmd_expand_monomial(args) -> int:
 
 
 def _cmd_expand_ribbon_product(args) -> int:
+    from .ribbon import ribbon_product
+
     _emit(ribbon_product(args.shape, args.times), args.format)
     return 0
 
 
 def _cmd_convert(args) -> int:
+    from .ribbon import H_to_ribbon, ribbon_to_H
+
     if args.src == args.dst:
         print("error: --from and --to must differ", file=sys.stderr)
         return USAGE_ERROR
@@ -216,7 +225,7 @@ def _cmd_convert(args) -> int:
 def _cmd_straighten(args) -> int:
     sign, mu, nu = straighten_skew(args.shape, args.skew)
     if args.format == "json":
-        print(json.dumps({"sign": sign, "mu": list(mu), "nu": list(nu)}))
+        print(_dumps({"sign": sign, "mu": list(mu), "nu": list(nu)}))
     else:
         shape = f"{','.join(map(str, mu))} / {','.join(map(str, nu))}"
         print(f"sign {sign:+d}" if sign else "sign 0 (element vanishes)")
@@ -228,7 +237,7 @@ def _cmd_decompose(args) -> int:
     entries = skew_prefix_decomposition(args.shape, args.prefix,
                                         max_k=args.max_k)
     if args.format == "json":
-        print(json.dumps([
+        print(_dumps([
             {"sign": sign, "prefix": list(prefix),
              "tail_mu": list(tail_mu), "tail_nu": list(tail_nu)}
             for sign, prefix, (tail_mu, tail_nu) in entries
@@ -258,7 +267,7 @@ def _cmd_thc_list(args) -> int:
     for covering in enumerate_coverings(args.shape, args.skew,
                                         max_k=args.max_k):
         if args.format == "json":
-            print(json.dumps(covering.to_json_dict()))
+            print(_dumps(covering.to_json_dict()))
         else:
             cells = " ".join(f"({p},{q})" for p, q in covering.terminal_cells)
             sign = "+" if covering.total_sign > 0 else "-"
@@ -284,6 +293,8 @@ def _cmd_thc_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     names = None if args.suite == "all" else args.suite.split(",")
     overrides = {"seed": args.seed}
     if args.n is not None:

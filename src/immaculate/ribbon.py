@@ -57,10 +57,18 @@ def H_to_ribbon(expr: BasisExpr) -> BasisExpr:
 
 
 def ribbon_product(alpha: Iterable[int], beta: Iterable[int]) -> BasisExpr:
-    """R_alpha R_beta = R_(concatenation) + R_(near-concatenation)."""
+    """R_alpha R_beta = R_(concatenation) + R_(near-concatenation).
+
+    Both factors must be nonempty strong compositions; a bad one is named
+    before either product index is built.
+    """
     alpha, beta = tuple(alpha), tuple(beta)
     if not alpha or not beta:
         raise ValueError("ribbon product factors must be nonempty")
+    for factor in (alpha, beta):
+        if any(a < 1 for a in factor):
+            raise ValueError(
+                f"ribbon product factor {factor} is not a strong composition")
     joined = alpha + beta
     fused = alpha[:-1] + (alpha[-1] + beta[0],) + beta[1:]
     return BasisExpr.term("R", joined) + BasisExpr.term("R", fused)

@@ -406,7 +406,8 @@ def run_suite(names=None, **overrides) -> list[dict]:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}")
+        raise ValueError(f"unknown checks: {unknown}; known checks: "
+                         f"{', '.join(CHECKS)}")
     reports = []
     for name in names:
         fn = CHECKS[name]

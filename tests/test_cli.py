@@ -105,6 +105,13 @@ def test_expand_ribbon_product(capsys):
     assert out.strip() == "R(1,1,2) + R(1,3)"
 
 
+def test_expand_ribbon_product_names_the_bad_factor(capsys):
+    code, out, err = run(capsys, "expand", "ribbon-product",
+                         "--shape", "0,1", "--times", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: ribbon product factor (0, 1) is not a strong composition\n"
+
+
 @pytest.mark.parametrize("src, dst", [("H", "R"), ("R", "H")])
 def test_convert_refuses_more_than_20_parts(capsys, src, dst):
     shape = ",".join(["1"] * 21)
@@ -280,6 +287,17 @@ def test_thc_render_too_wide(capsys, sigma):
     assert peak < 1_000_000
 
 
+def test_verify_unknown_check_lists_the_checks(capsys):
+    # --help no longer lists the checks (that would import verify), so the
+    # error does
+    from immaculate.verify import CHECKS
+
+    code, out, err = run(capsys, "verify", "--suite", "golden,bogus")
+    assert (code, out) == (1, "")
+    assert err == ("error: unknown checks: ['bogus']; known checks: "
+                   + ", ".join(CHECKS) + "\n")
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "golden,replay")
     assert code == 0
@@ -321,15 +339,79 @@ def test_max_k_bounds_both_bases(capsys, basis):
     assert "limited to 3" in err
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    # -S keeps site .pth files, which may import these themselves, out
+def probe(code: str) -> str:
+    """Stdout of `code` run in a fresh interpreter that imports this package.
+
+    -S keeps site .pth files, which may import modules themselves, out.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = ("import immaculate.cli, sys; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # a CLI call imports only what its command uses: json, verify (and so
+    # oracles) and ribbon load inside the commands that need them
+    skipped = {"dataclasses", "inspect", "json", "immaculate.verify",
+               "immaculate.oracles", "immaculate.ribbon"}
+    assert probe("import immaculate.cli, sys; "
+                 f"print(sorted({skipped!r} & set(sys.modules)))") == "[]"
+    # and the package itself imports no submodule until a name is read
+    assert probe("import immaculate, sys; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.startswith('immaculate.')))") == "[]"
+
+
+@pytest.mark.parametrize("load", [
+    "import immaculate; names = {n: getattr(immaculate, n) for n in immaculate.__all__}",
+    "names = {}; exec('from immaculate import *', names); import immaculate",
+])
+def test_package_names_load_on_first_use(load):
+    # each public name resolves, in a fresh interpreter, to the object its
+    # submodule defines; dir() lists them before any is loaded
+    out = probe(
+        "import importlib, sys; import immaculate; "
+        "listed = set(immaculate.__all__) <= set(dir(immaculate)); "
+        f"{load}; "
+        "wrong = [n for n in immaculate.__all__ if getattr(importlib.import_module("
+        "names[n].__module__), n) is not names[n] or names[n].__name__ != n]; "
+        "print(listed, wrong, immaculate.verify is sys.modules['immaculate.verify'])")
+    assert out == "True [] True"
+    import immaculate
+
+    with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
+        immaculate.nonsense
+
+
+@pytest.mark.parametrize("command", [
+    ("expand", "immaculate", "--shape", "3,1,3"),
+    ("expand", "monomial", "--shape", "2,1"),
+    ("expand", "ribbon-product", "--shape", "1,1", "--times", "2"),
+    ("convert", "--from", "H", "--to", "R", "--shape", "2,1"),
+    ("straighten", "--shape", "2,-5,0,1", "--skew", "2,-3,1,6"),
+    ("decompose", "--shape", "4,3,3,2", "--prefix", "2"),
+    ("thc", "list", "--shape", "3,1,3"),
+    ("thc", "render", "--shape", "3,1,3"),
+])
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_format_only_what_the_command_prints(capsys, monkeypatch, command, fmt):
+    # a record list has no latex form and a drawing no json form: --format
+    # refuses them, and IMMACULATE_FORMAT falls back to text
+    printable = {"straighten": ("text", "json"), "decompose": ("text", "json"),
+                 "list": ("text", "json"), "render": ("text", "latex")}
+    ok = fmt in printable.get(command[1] if command[0] == "thc" else command[0],
+                              ("text", "json", "latex"))
+    code, out, err = run(capsys, *command, "--format", fmt)
+    if ok:
+        assert code == 0 and out
+    else:
+        assert (code, out) == (1, "")
+        assert f"invalid choice: '{fmt}'" in err
+    monkeypatch.setenv("IMMACULATE_FORMAT", fmt)
+    from_env = run(capsys, *command)
+    assert from_env == run(capsys, *command, "--format", fmt if ok else "text")
 
 
 def test_format_env_default(capsys, monkeypatch):

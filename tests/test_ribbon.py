@@ -91,6 +91,18 @@ def test_ribbon_product_rejects_empty():
         ribbon_product((), (1,))
 
 
+@pytest.mark.parametrize("alpha, beta, bad", [
+    ((0, 1), (1,), (0, 1)),
+    ((2,), (0, 1), (0, 1)),  # the fused index (2, 1) would pass
+    ((1, 2), (3, -1), (3, -1)),
+])
+def test_ribbon_product_names_the_bad_factor(alpha, beta, bad):
+    with pytest.raises(ValueError) as info:
+        ribbon_product(alpha, beta)
+    assert str(info.value) == (
+        f"ribbon product factor {bad} is not a strong composition")
+
+
 def test_ribbon_product_consistent_with_H():
     rng = random.Random(7)
     for _ in range(50):
