@@ -15,6 +15,7 @@ import argparse
 import os
 import re
 import sys
+from functools import partial
 from typing import Optional
 
 from .coverings import (
@@ -96,69 +97,69 @@ def _emit(expr: BasisExpr, fmt: str, tag: Optional[str] = None) -> None:
     print(expr.to_latex() if fmt == "latex" else expr.to_text())
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="immaculate", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse_max_k(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        # the text argparse gives for a failed type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
-    def add_format(p, formats=FORMATS):
-        p.add_argument("--format", choices=formats,
-                       default=_default_format(formats))
 
-    def add_common(p, skew=True, formats=FORMATS):
-        p.add_argument("--shape", type=_parse_shape, required=True)
-        if skew:
-            p.add_argument("--skew", type=_parse_shape, default=None)
-        add_format(p, formats)
-        p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K)
+def _add_format(p, formats=FORMATS):
+    p.add_argument("--format", choices=formats,
+                   default=_default_format(formats))
 
-    expand = sub.add_parser("expand", help="expand a basis element")
-    expand_sub = expand.add_subparsers(dest="what", required=True)
 
-    p = expand_sub.add_parser("immaculate", help="immaculate element into H or R")
-    add_common(p)
+def _add_common(p, skew=True, formats=FORMATS):
+    p.add_argument("--shape", type=_parse_shape, required=True)
+    if skew:
+        p.add_argument("--skew", type=_parse_shape, default=None)
+    _add_format(p, formats)
+    p.add_argument("--max-k", type=_parse_max_k, default=DEFAULT_MAX_K)
+
+
+def _build_expand_immaculate(p):
+    _add_common(p)
     p.add_argument("--basis", choices=("H", "R"), default="H")
     p.add_argument("--force", action="store_true",
                    help="evaluate the direct ribbon formula outside its "
                         "proven class (output tagged UNPROVEN-CLASS)")
 
-    p = expand_sub.add_parser("monomial",
-                              help="monomial element into the dual basis")
-    add_common(p, skew=False)
 
-    p = expand_sub.add_parser("ribbon-product",
-                              help="product of two ribbon elements")
+def _build_expand_ribbon_product(p):
     p.add_argument("--shape", type=_parse_shape, required=True)
     p.add_argument("--times", type=_parse_shape, required=True)
-    add_format(p)
+    _add_format(p)
 
-    p = sub.add_parser("convert", help="convert a single H or R element")
+
+def _build_convert(p):
     p.add_argument("--from", dest="src", choices=("H", "R"), required=True)
     p.add_argument("--to", dest="dst", choices=("H", "R"), required=True)
     p.add_argument("--shape", type=_parse_shape, required=True)
-    add_format(p)
+    _add_format(p)
 
-    p = sub.add_parser("straighten",
-                       help="normalize a skew inner shape to a partition")
+
+def _build_straighten(p):
     p.add_argument("--shape", type=_parse_shape, required=True)
     p.add_argument("--skew", type=_parse_shape, required=True)
-    add_format(p, RECORD_FORMATS)
+    _add_format(p, RECORD_FORMATS)
 
-    p = sub.add_parser("decompose",
-                       help="split off the bottom rows as H-prefixes")
-    add_common(p, skew=False, formats=RECORD_FORMATS)
+
+def _build_decompose(p):
+    _add_common(p, skew=False, formats=RECORD_FORMATS)
     p.add_argument("--prefix", type=int, required=True, metavar="M")
 
-    thc = sub.add_parser("thc", help="tunnel hook coverings and diagrams")
-    thc_sub = thc.add_subparsers(dest="what", required=True)
-    p = thc_sub.add_parser("list", help="list all coverings of a shape")
-    add_common(p, formats=RECORD_FORMATS)
-    p = thc_sub.add_parser("render", help="draw a diagram, optionally with "
-                                          "one covering overlaid")
-    add_common(p, formats=DRAWING_FORMATS)
+
+def _build_thc_render(p):
+    _add_common(p, formats=DRAWING_FORMATS)
     p.add_argument("--sigma", type=_parse_shape, default=None,
                    help="overlay the covering of this permutation (nu = 0 only)")
 
-    p = sub.add_parser("verify", help="run self-check sweeps")
+
+def _build_verify(p):
     p.add_argument("--suite", default="all",
                    help="'all' or a comma-separated subset of the checks; "
                         "an unknown name lists them")
@@ -171,6 +172,64 @@ def build_parser() -> _Parser:
                         "0); the test suite runs each check with its own "
                         "default seed instead")
 
+
+def _add_branches(parser, dest, table, argv) -> None:
+    """Add the subcommands of table, or only the one argv[0] names.
+
+    A table maps each name to its help and either a function that adds
+    its arguments or a table of its own subcommands. With one branch built,
+    the choices metavar still names them all, so usage lines read as with
+    the whole table.
+    """
+    names = list(table)
+    if argv and argv[0] in table:
+        metavar, built, rest = "{" + ",".join(names) + "}", argv[:1], argv[1:]
+    else:
+        metavar, built, rest = None, names, []
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name in built:
+        text, build = table[name]
+        p = sub.add_parser(name, help=text)
+        if isinstance(build, dict):
+            _add_branches(p, "what", build, rest)
+        else:
+            build(p)
+
+
+_EXPAND = {
+    "immaculate": ("immaculate element into H or R", _build_expand_immaculate),
+    "monomial": ("monomial element into the dual basis",
+                 partial(_add_common, skew=False)),
+    "ribbon-product": ("product of two ribbon elements",
+                       _build_expand_ribbon_product),
+}
+_THC = {
+    "list": ("list all coverings of a shape",
+             partial(_add_common, formats=RECORD_FORMATS)),
+    "render": ("draw a diagram, optionally with one covering overlaid",
+               _build_thc_render),
+}
+_COMMANDS = {
+    "expand": ("expand a basis element", _EXPAND),
+    "convert": ("convert a single H or R element", _build_convert),
+    "straighten": ("normalize a skew inner shape to a partition",
+                   _build_straighten),
+    "decompose": ("split off the bottom rows as H-prefixes", _build_decompose),
+    "thc": ("tunnel hook coverings and diagrams", _THC),
+    "verify": ("run self-check sweeps", _build_verify),
+}
+
+
+def build_parser(argv: Optional[list[str]] = None) -> _Parser:
+    """The whole parser, or only the branch that argv names.
+
+    A call needs only its own command's subparser (and for expand and thc
+    its subcommand's), which saves building the other ten. When argv names
+    no branch (help, an unknown name) every branch is built, so help and
+    error texts are the same either way.
+    """
+    parser = _Parser(prog="immaculate", description=__doc__)
+    _add_branches(parser, "command", _COMMANDS, argv or [])
     return parser
 
 
@@ -317,10 +376,9 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _attach_negative_shapes(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(_attach_negative_shapes(argv))
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -76,8 +76,12 @@ def _walk(start: GbprDiagram, depth: int) -> Iterator[tuple[TunnelHook, ...]]:
     Depth-first, tunnel cells taken bottom-up. The hooks leaving a state
     (s, nu_now) are built through `TunnelHook.at` once and kept in a table
     that lives only as long as this walk: about e * k! nodes share a few
-    hundred states at k = 7.
+    hundred states at k = 7. The hooks of row depth are yielded in place,
+    not pushed as nodes of their own.
     """
+    if depth == 0:
+        yield ()
+        return
     k = start.k
     mu = start.mu
     at = TunnelHook.at
@@ -87,13 +91,14 @@ def _walk(start: GbprDiagram, depth: int) -> Iterator[tuple[TunnelHook, ...]]:
     todo = [(start.nu, 1, ())]
     while todo:
         nu_now, s, hooks = todo.pop()
-        if s > depth:
-            yield hooks
-            continue
         out = moves.get((s, nu_now))
         if out is None:
             out = moves[s, nu_now] = [at(mu, nu_now, s, p)
                                       for p in range(k, s - 1, -1)]
+        if s == depth:
+            for hook in reversed(out):
+                yield hooks + (hook,)
+            continue
         for hook in out:
             todo.append((hook.bumped, s + 1, hooks + (hook,)))
 
@@ -107,8 +112,11 @@ def enumerate_coverings(
     """Depth-first stream of all k! coverings, tunnel cells taken bottom-up."""
     start = build_diagram(mu, nu)
     _check_bound(start.k, max_k)
+    # tuple.__new__ skips the generated __new__: a covering checks nothing
+    new = tuple.__new__
+    mu, nu = start.mu, start.nu
     for hooks in _walk(start, start.k):
-        yield TunnelHookCovering(start.mu, start.nu, hooks)
+        yield new(TunnelHookCovering, (mu, nu, hooks))
 
 
 def covering_from_terminal_cells(

@@ -168,7 +168,9 @@ class TunnelHook(NamedTuple):
     ) -> "TunnelHook":
         """The hook from row s to row p of mu over nu, through `step`."""
         delta, sign, bumped = step(mu, nu, s, p)
-        return cls(s, (p, nu[p - 1] + 1), sign, delta, nu, bumped)
+        # tuple.__new__ skips the generated __new__; a hook checks nothing
+        return tuple.__new__(cls, (s, (p, nu[p - 1] + 1), sign, delta, nu,
+                                   bumped))
 
     @property
     def eta(self) -> tuple[int, ...]:

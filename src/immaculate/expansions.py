@@ -131,6 +131,8 @@ def skew_prefix_decomposition(
     """
     mu = tuple(mu)
     k = len(mu)
+    if not k:
+        raise ValueError("the shape has no rows to split")
     if not 1 <= m <= k:
         raise ValueError(f"need 1 <= m <= {k}, got {m}")
     start = build_diagram(mu)

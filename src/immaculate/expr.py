@@ -4,7 +4,8 @@ coefficients.
 An expression is a finite sum ``sum(c_alpha * X_alpha)`` where X is one of
 the supported basis families and each index alpha is a tuple of positive
 integers (the empty tuple is the unit).  Coefficients are Python ints, so
-arithmetic is exact at any magnitude.
+arithmetic is exact at any magnitude; bool is refused as a coefficient
+and as an index part.
 """
 
 from __future__ import annotations
@@ -38,8 +39,14 @@ class BasisExpr:
         clean: dict[Index, int] = {}
         for index, coeff in (terms or {}).items():
             index = tuple(index)
-            if not all(isinstance(a, int) and a >= 1 for a in index):
-                raise ValueError(f"index {index} is not a strong composition")
+            # type(...) is int refuses bool, which isinstance would let in
+            for a in index:
+                if type(a) is not int or a < 1:
+                    raise ValueError(
+                        f"index {index} is not a strong composition")
+            if type(coeff) is not int:
+                raise ValueError(
+                    f"coefficient {coeff!r} of index {index} is not an int")
             if basis == "h_sym" and any(
                 index[i] < index[i + 1] for i in range(len(index) - 1)
             ):

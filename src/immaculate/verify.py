@@ -362,13 +362,14 @@ def check_diagram_invariants(n_cases: int = 1000, seed: int = 5) -> dict:
         deltas = set()
         for tau in d.tunnel_cells():
             hook = make_tunnel_hook(d, tau)
+            cells = hook.cells
             reference = {c for c in boundary if c[0] <= tau[0]}
             rows = [row for row, _ in reference]
-            if hook.cells != reference or any(
+            if cells != reference or any(
                 e != rows.count(i) for i, e in enumerate(hook.eta, start=1)
             ):
                 failures.append(f"hook {tau} differs from the boundary cells of {d}")
-            if not _connected(hook.cells):
+            if not _connected(cells):
                 failures.append(f"disconnected hook {tau} on {d}")
             if hook.delta in deltas:
                 failures.append(f"delta collision at {tau} on {d}")

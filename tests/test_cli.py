@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from immaculate.cli import main
+from immaculate.cli import _attach_negative_shapes, build_parser, main
 
 
 def run(capsys, *argv):
@@ -337,6 +337,82 @@ def test_max_k_bounds_both_bases(capsys, basis):
                          "--max-k", "3", "--basis", basis)
     assert code == 1 and out == ""
     assert "limited to 3" in err
+
+
+def test_decompose_of_no_rows_says_so(capsys):
+    code, out, err = run(capsys, "decompose", "--prefix", "1", "--shape=")
+    assert (code, out) == (1, "")
+    assert err == "error: the shape has no rows to split\n"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-1", "must be nonnegative, got -1"),
+    ("-12", "must be nonnegative, got -12"),
+    ("x", "invalid int value: 'x'"),
+])
+def test_bad_max_k_is_refused_at_parse_time(capsys, value, message):
+    code, out, err = run(capsys, "thc", "list", "--shape", "3,1",
+                         "--max-k", value)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: immaculate thc list")
+    assert err.endswith(f"error: argument --max-k: {message}\n")
+
+
+#: Each command path with arguments that parse.
+COMMAND_PATHS = {
+    ("expand", "immaculate"): ("--shape", "1"),
+    ("expand", "monomial"): ("--shape", "1"),
+    ("expand", "ribbon-product"): ("--shape", "1", "--times", "1"),
+    ("convert",): ("--from", "H", "--to", "R", "--shape", "1"),
+    ("straighten",): ("--shape", "1", "--skew", "0"),
+    ("decompose",): ("--shape", "1", "--prefix", "1"),
+    ("thc", "list"): ("--shape", "1"),
+    ("thc", "render"): ("--shape", "1"),
+    ("verify",): (),
+}
+
+
+def _parse(parser, argv, capsys):
+    """(namespace or None, stdout, stderr, exit code or None) of one parse."""
+    try:
+        args, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    return args, captured.out, captured.err, code
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--bogus"], ["bogus"], ["expand"], ["thc"],
+    ["expand", "bogus"], ["expand", "list"], ["thc", "immaculate"],
+    ["expand", "--help"], ["thc", "--help"],
+] + [
+    list(path) + extra
+    for path, valid in COMMAND_PATHS.items()
+    for extra in (["--help"], ["--bogus"], list(valid), list(valid) + ["--bogus"],
+                  list(valid) + ["extra"], list(valid) + ["--max-k", "-1"])
+])
+def test_one_branch_parses_as_the_whole_parser(capsys, argv):
+    argv = _attach_negative_shapes(argv)
+    whole = _parse(build_parser(), argv, capsys)
+    assert _parse(build_parser(argv), argv, capsys) == whole
+    assert whole[1] or whole[2] or whole[0] is not None
+    if whole[0] is None:
+        assert run(capsys, *argv) == (whole[3], whole[1], whole[2])
+
+
+def test_one_branch_builds_only_what_argv_names():
+    def names(parser):
+        sub = parser._subparsers._group_actions[0]
+        return {name: names(p) if p._subparsers else None
+                for name, p in sub.choices.items()}
+
+    assert names(build_parser(["expand", "monomial", "--shape", "1"])) == {
+        "expand": {"monomial": None}}
+    assert names(build_parser(["thc", "bogus"])) == {
+        "thc": {"list": None, "render": None}}
+    assert names(build_parser(["list"])) == names(build_parser())
+    assert len(names(build_parser())) == 6
 
 
 def probe(code: str) -> str:

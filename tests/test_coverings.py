@@ -144,6 +144,8 @@ def test_walk_matches_reference_record_for_record():
         assert len(coverings) == len(reference)
         for g, (hooks, deltas, sign, cells) in zip(coverings, reference):
             assert g == TunnelHookCovering(mu, nu, hooks)
+            assert type(g) is TunnelHookCovering
+            assert all(type(h) is TunnelHook for h in g.hooks)
             assert g.delta_seq == deltas
             assert g.total_sign == sign
             assert g.terminal_cells == cells
@@ -152,6 +154,7 @@ def test_walk_matches_reference_record_for_record():
         for d in range(k):
             assert walk(mu, nu, d) == [
                 hooks for hooks, _, _, _ in reference_walk(mu, nu, d)]
+        assert list(_walk(build_diagram(mu, nu), 0)) == [()]
 
 
 def test_interleaved_walks_keep_their_own_state():

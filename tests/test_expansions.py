@@ -149,6 +149,11 @@ def test_prefix_decomposition_4332():
                for _, _, (tail_mu, _) in skew_prefix_decomposition((4, 3, 3, 2), 2))
 
 
+def test_prefix_decomposition_of_no_rows_says_so():
+    with pytest.raises(ValueError, match="no rows to split"):
+        skew_prefix_decomposition((), 1)
+
+
 def _reassemble(mu, m):
     total = BasisExpr.zero("H")
     for sign, prefix, (tail_mu, tail_nu) in skew_prefix_decomposition(mu, m):

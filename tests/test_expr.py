@@ -78,6 +78,22 @@ def test_rejects_nonpositive_index_entries():
         BasisExpr("H", {(1, 0): 1})
 
 
+@pytest.mark.parametrize("terms", [
+    {(1,): 1.5}, {(1,): 2.0}, {(1,): True}, {(1,): False}, {(1,): "1"},
+    {(True,): 1}, {(2, True): 1}, {(1.0,): 1},
+])
+def test_rejects_coefficients_and_parts_that_are_not_ints(terms):
+    with pytest.raises(ValueError):
+        BasisExpr("H", terms)
+
+
+def test_int_conversions_stay_exact():
+    data = {"basis": "H", "terms": [{"coeff": True, "index": [1]}]}
+    assert BasisExpr.from_json_dict(data) == BasisExpr.term("H", (1,))
+    x = True * BasisExpr.term("H", (2,), 3)
+    assert [type(c) for _, c in x.items()] == [int]
+
+
 def test_json_roundtrip():
     x = BasisExpr("H", {(3, 1, 3): 1, (5, 2): -2, (): 4})
     data = json.loads(json.dumps(x.to_json_dict()))
