@@ -63,6 +63,8 @@ def _sign(hooks: Iterable[TunnelHook]) -> int:
 
 
 def _check_bound(k: int, max_k: int) -> None:
+    if max_k < 0:
+        raise ValueError(f"max_k must be nonnegative, got {max_k}")
     if k > max_k:
         raise ValueError(
             f"shape has {k} rows; enumeration is limited to {max_k} "

@@ -157,6 +157,8 @@ def monomial_to_dual_immaculate(
     if any(a < 1 for a in alpha):
         raise ValueError(f"alpha must be a strong composition: {alpha}")
     n = sum(alpha)
+    if max_k < 0:
+        raise ValueError(f"max_k must be nonnegative, got {max_k}")
     if n > max_k:
         raise ValueError(f"|alpha| = {n} exceeds the bound {max_k}")
     return BasisExpr("dI", {

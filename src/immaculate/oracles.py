@@ -1,8 +1,10 @@
-"""Independent ground truth: determinant expansions and the duality check.
+"""Independent ground truth: determinant expansions of Jacobi-Trudi matrices.
 
-These never touch the covering machinery, and share no code with it: the
-subscript rule and composition listing are written here again on purpose.
-Only the `BasisExpr` container comes from the package.
+This module imports nothing from the package, so it shares no code with
+the covering machinery it is compared against: the subscript rule and
+the composition listing are written here again on purpose. Results are
+plain dicts from index to nonzero coefficient; the comparisons with
+production expressions live in `verify`.
 
 The noncommutative determinant is the signed sum over permutations with
 the factors of each monomial taken row by row from the top, which is what
@@ -16,8 +18,6 @@ permutation. So 2^k column subsets stand in for the k! permutations.
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
-
-from .expr import BasisExpr
 
 IntSeq = tuple[int, ...]
 
@@ -50,11 +50,17 @@ def jacobi_trudi_matrix(
     )
 
 
-def ndet_expand(matrix: tuple[IntSeq, ...], *, max_k: int = 10) -> BasisExpr:
+def ndet_expand(
+    matrix: tuple[IntSeq, ...], *, max_k: int = 10
+) -> dict[IntSeq, int]:
     """Row-ordered determinant by Laplace expansion over column subsets.
 
-    H_a = 0 for a < 0 kills a monomial and H_0 = 1 drops out of it.
+    H_a = 0 for a < 0 kills a monomial and H_0 = 1 drops out of it. The
+    result maps each H index to its coefficient; cancelled terms are
+    dropped.
     """
+    if max_k < 0:
+        raise ValueError(f"max_k must be nonnegative, got {max_k}")
     k = len(matrix)
     if any(len(row) != k for row in matrix):
         raise ValueError("matrix must be square")
@@ -74,51 +80,30 @@ def ndet_expand(matrix: tuple[IntSeq, ...], *, max_k: int = 10) -> BasisExpr:
                     index += factor
                     terms[index] = terms.get(index, 0) + sign * coeff
         states = nxt
-    return BasisExpr("H", states.get((1 << k) - 1, {}))
+    full = states.get((1 << k) - 1, {})
+    return {index: coeff for index, coeff in full.items() if coeff}
 
 
 def commutative_jacobi_trudi(
     lam: Iterable[int], nu: Optional[Iterable[int]] = None, *, max_k: int = 10
-) -> BasisExpr:
+) -> dict[IntSeq, int]:
     """Determinant of h_(lam_i - i - (nu_j - j)) in commuting variables.
 
     The commutative image of `ndet_expand`: each H index sorted into a
-    partition, coefficients summed.
+    partition, coefficients summed, cancelled terms dropped.
     """
     terms: dict[IntSeq, int] = {}
     for index, coeff in ndet_expand(jacobi_trudi_matrix(lam, nu), max_k=max_k).items():
         key = tuple(sorted(index, reverse=True))
         terms[key] = terms.get(key, 0) + coeff
-    return BasisExpr("h_sym", terms)
+    return {index: coeff for index, coeff in terms.items() if coeff}
 
 
-def duality_transpose_check(n: int, *, max_k: int = 10) -> dict:
-    """Compare the two transition matrices over compositions of n.
+def determinant_rows(n: int) -> dict[IntSeq, dict[IntSeq, int]]:
+    """`ndet_expand` of the Jacobi-Trudi matrix of each composition mu of n.
 
-    A[beta][alpha] is the coefficient of H_alpha in the determinant of the
-    Jacobi-Trudi matrix of beta; B[alpha][mu] is the coefficient of the dual
-    element at mu in the production monomial expansion of alpha. Duality of
-    the two bases forces B to equal the transpose of A.
+    Keyed by mu in lexicographic order. Row mu maps alpha to the
+    coefficient of H_alpha in the immaculate element at mu: the rows of
+    the inverse Kostka matrix.
     """
-    from .expansions import monomial_to_dual_immaculate
-
-    comps = list(_compositions(n))
-    a_matrix = {
-        beta: ndet_expand(jacobi_trudi_matrix(beta), max_k=max_k)
-        for beta in comps
-    }
-    counterexample = None
-    for alpha in comps:
-        b_row = monomial_to_dual_immaculate(alpha, max_k=max_k)
-        for mu in comps:
-            if b_row.coefficient(mu) != a_matrix[mu].coefficient(alpha):
-                counterexample = {"alpha": list(alpha), "mu": list(mu)}
-                break
-        if counterexample:
-            break
-    return {
-        "check": "duality_transpose",
-        "n": n,
-        "pass": counterexample is None,
-        "counterexample": counterexample,
-    }
+    return {mu: ndet_expand(jacobi_trudi_matrix(mu)) for mu in _compositions(n)}

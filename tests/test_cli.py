@@ -457,6 +457,9 @@ def test_package_names_load_on_first_use(load):
     assert out == "True [] True"
     import immaculate
 
+    assert "determinant_rows" in immaculate.__all__
+    assert "duality_transpose_check" not in immaculate.__all__
+
     with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
         immaculate.nonsense
 

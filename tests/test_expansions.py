@@ -4,8 +4,7 @@ from itertools import permutations
 import pytest
 
 from helpers import normalize_h_index
-from immaculate.compositions import compositions_of
-from immaculate.coverings import enumerate_coverings
+from immaculate.coverings import covering_from_terminal_cells, enumerate_coverings
 from immaculate.expansions import (
     _fold_coverings,
     forgetful_to_h,
@@ -16,7 +15,12 @@ from immaculate.expansions import (
     straighten_skew,
 )
 from immaculate.expr import BasisExpr
-from immaculate.oracles import jacobi_trudi_matrix, ndet_expand
+from immaculate.oracles import (
+    commutative_jacobi_trudi,
+    determinant_rows,
+    jacobi_trudi_matrix,
+    ndet_expand,
+)
 
 
 def H(terms):
@@ -129,7 +133,7 @@ def test_straightened_value_matches_oracle():
         k = rng.randint(1, 4)
         mu = tuple(rng.randint(-3, 5) for _ in range(k))
         nu = tuple(rng.randint(-3, 5) for _ in range(k))
-        assert skew_immaculate_to_H(mu, nu) == ndet_expand(
+        assert dict(skew_immaculate_to_H(mu, nu).items()) == ndet_expand(
             jacobi_trudi_matrix(mu, nu)
         )
 
@@ -214,6 +218,23 @@ def test_prefix_validates_m_before_max_k():
     assert len(skew_prefix_decomposition((1,) * 11, 2, max_k=11)) == 110
 
 
+@pytest.mark.parametrize("call", [
+    lambda: next(enumerate_coverings((1,), max_k=-1)),
+    lambda: covering_from_terminal_cells((1,), None, [(1, 1)], max_k=-1),
+    lambda: skew_prefix_decomposition((1,), 1, max_k=-1),
+    lambda: immaculate_to_H((1,), max_k=-1),
+    lambda: monomial_to_dual_immaculate((1,), max_k=-1),
+    lambda: ndet_expand(((1,),), max_k=-1),
+    lambda: commutative_jacobi_trudi((1,), max_k=-1),
+], ids=["enumerate_coverings", "covering_from_terminal_cells",
+        "skew_prefix_decomposition", "fold", "monomial_to_dual_immaculate",
+        "ndet_expand", "commutative_jacobi_trudi"])
+def test_negative_max_k_is_refused(call):
+    # the library refuses what the CLI refuses at parse time
+    with pytest.raises(ValueError, match=r"^max_k must be nonnegative, got -1$"):
+        call()
+
+
 def test_monomial_212():
     assert monomial_to_dual_immaculate((2, 1, 2)) == BasisExpr("dI", {
         (1, 1, 1, 1, 1): 1, (1, 1, 1, 2): -1, (1, 2, 1, 1): 1,
@@ -234,12 +255,11 @@ def test_monomial_n2():
 def test_monomial_matches_determinant_coefficients():
     # the coefficient of dI_mu in M_alpha is that of H_alpha in det(mu)
     for n in range(1, 7):
-        comps = list(compositions_of(n))
-        table = {mu: ndet_expand(jacobi_trudi_matrix(mu)) for mu in comps}
-        for alpha in comps:
-            assert monomial_to_dual_immaculate(alpha) == BasisExpr(
-                "dI", {mu: table[mu].coefficient(alpha) for mu in comps}
-            )
+        rows = determinant_rows(n)
+        for alpha in rows:
+            assert dict(monomial_to_dual_immaculate(alpha).items()) == {
+                mu: terms[alpha] for mu, terms in rows.items() if alpha in terms
+            }
 
 
 def test_monomial_rejects_weak_composition():
