@@ -177,9 +177,9 @@ def _add_branches(parser, dest, table, argv) -> None:
     """Add the subcommands of table, or only the one argv[0] names.
 
     A table maps each name to its help and either a function that adds
-    its arguments or a table of its own subcommands. With one branch built,
-    the choices metavar still names them all, so usage lines read as with
-    the whole table.
+    its arguments and the function that runs it, or a table of its own
+    subcommands. With one branch built, the choices metavar still names
+    them all, so usage lines read as with the whole table.
     """
     names = list(table)
     if argv and argv[0] in table:
@@ -188,49 +188,13 @@ def _add_branches(parser, dest, table, argv) -> None:
         metavar, built, rest = None, names, []
     sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
     for name in built:
-        text, build = table[name]
+        text, build, *run = table[name]
         p = sub.add_parser(name, help=text)
         if isinstance(build, dict):
             _add_branches(p, "what", build, rest)
         else:
             build(p)
-
-
-_EXPAND = {
-    "immaculate": ("immaculate element into H or R", _build_expand_immaculate),
-    "monomial": ("monomial element into the dual basis",
-                 partial(_add_common, skew=False)),
-    "ribbon-product": ("product of two ribbon elements",
-                       _build_expand_ribbon_product),
-}
-_THC = {
-    "list": ("list all coverings of a shape",
-             partial(_add_common, formats=RECORD_FORMATS)),
-    "render": ("draw a diagram, optionally with one covering overlaid",
-               _build_thc_render),
-}
-_COMMANDS = {
-    "expand": ("expand a basis element", _EXPAND),
-    "convert": ("convert a single H or R element", _build_convert),
-    "straighten": ("normalize a skew inner shape to a partition",
-                   _build_straighten),
-    "decompose": ("split off the bottom rows as H-prefixes", _build_decompose),
-    "thc": ("tunnel hook coverings and diagrams", _THC),
-    "verify": ("run self-check sweeps", _build_verify),
-}
-
-
-def build_parser(argv: Optional[list[str]] = None) -> _Parser:
-    """The whole parser, or only the branch that argv names.
-
-    A call needs only its own command's subparser (and for expand and thc
-    its subcommand's), which saves building the other ten. When argv names
-    no branch (help, an unknown name) every branch is built, so help and
-    error texts are the same either way.
-    """
-    parser = _Parser(prog="immaculate", description=__doc__)
-    _add_branches(parser, "command", _COMMANDS, argv or [])
-    return parser
+            p.set_defaults(run=run[0])
 
 
 def _cmd_expand_immaculate(args) -> int:
@@ -355,15 +319,12 @@ def _cmd_verify(args) -> int:
     from .verify import run_suite
 
     names = None if args.suite == "all" else args.suite.split(",")
-    overrides = {"seed": args.seed}
-    if args.n is not None:
-        if not 1 <= args.n <= _MAX_VERIFY_N:
-            print(f"error: --n must be between 1 and {_MAX_VERIFY_N}, "
-                  f"got {args.n}", file=sys.stderr)
-            return USAGE_ERROR
-        overrides.update(max_n=args.n, comp_n=args.n)
+    if args.n is not None and not 1 <= args.n <= _MAX_VERIFY_N:
+        print(f"error: --n must be between 1 and {_MAX_VERIFY_N}, "
+              f"got {args.n}", file=sys.stderr)
+        return USAGE_ERROR
     try:
-        reports = run_suite(names, **overrides)
+        reports = run_suite(names, seed=args.seed, max_n=args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -375,6 +336,45 @@ def _cmd_verify(args) -> int:
     return 0 if ok else VERIFY_FAILURE
 
 
+_EXPAND = {
+    "immaculate": ("immaculate element into H or R", _build_expand_immaculate,
+                   _cmd_expand_immaculate),
+    "monomial": ("monomial element into the dual basis",
+                 partial(_add_common, skew=False), _cmd_expand_monomial),
+    "ribbon-product": ("product of two ribbon elements",
+                       _build_expand_ribbon_product, _cmd_expand_ribbon_product),
+}
+_THC = {
+    "list": ("list all coverings of a shape",
+             partial(_add_common, formats=RECORD_FORMATS), _cmd_thc_list),
+    "render": ("draw a diagram, optionally with one covering overlaid",
+               _build_thc_render, _cmd_thc_render),
+}
+_COMMANDS = {
+    "expand": ("expand a basis element", _EXPAND),
+    "convert": ("convert a single H or R element", _build_convert, _cmd_convert),
+    "straighten": ("normalize a skew inner shape to a partition",
+                   _build_straighten, _cmd_straighten),
+    "decompose": ("split off the bottom rows as H-prefixes", _build_decompose,
+                  _cmd_decompose),
+    "thc": ("tunnel hook coverings and diagrams", _THC),
+    "verify": ("run self-check sweeps", _build_verify, _cmd_verify),
+}
+
+
+def build_parser(argv: Optional[list[str]] = None) -> _Parser:
+    """The whole parser, or only the branch that argv names.
+
+    A call needs only its own command's subparser (and for expand and thc
+    its subcommand's), which saves building the other ten. When argv names
+    no branch (help, an unknown name) every branch is built, so help and
+    error texts are the same either way.
+    """
+    parser = _Parser(prog="immaculate", description=__doc__)
+    _add_branches(parser, "command", _COMMANDS, argv or [])
+    return parser
+
+
 def main(argv=None) -> int:
     argv = _attach_negative_shapes(sys.argv[1:] if argv is None else list(argv))
     try:
@@ -382,28 +382,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        if args.command == "expand":
-            if args.what == "immaculate":
-                return _cmd_expand_immaculate(args)
-            if args.what == "monomial":
-                return _cmd_expand_monomial(args)
-            return _cmd_expand_ribbon_product(args)
-        if args.command == "convert":
-            return _cmd_convert(args)
-        if args.command == "straighten":
-            return _cmd_straighten(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "thc":
-            if args.what == "list":
-                return _cmd_thc_list(args)
-            return _cmd_thc_render(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

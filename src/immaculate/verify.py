@@ -1,9 +1,9 @@
 """Self-check sweeps: every expansion path cross-checked against the
 determinant oracles and the known small expansions.
 
-Each check function returns a report dict {"check", "pass", "detail"} and
-takes size parameters so the CLI can run quick sweeps while the test
-suite runs the full ones.
+Each check function returns a report dict {"check", "pass", "detail"}.
+The seeded checks take a `seed`, and the sized ones a `max_n`, which
+`immaculate verify --seed` and `--n` set; every other size is fixed.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def check_replay() -> dict:
     return _report("replay", failures)
 
 
-def check_bijection(n_random_mu: int = 20, seed: int = 0) -> dict:
+def check_bijection(seed: int = 0) -> dict:
     failures = []
     mu7 = (4, 7, 3, 1, 6, 2, 5)
     covering = covering_from_permutation(mu7, BIJECTION_SIGMA)
@@ -184,7 +184,7 @@ def check_bijection(n_random_mu: int = 20, seed: int = 0) -> dict:
         failures.append("lehmer code mismatch")
     rng = random.Random(seed)
     shapes = [
-        tuple(rng.randint(-3, 6) for _ in range(5)) for _ in range(n_random_mu)
+        tuple(rng.randint(-3, 6) for _ in range(5)) for _ in range(20)
     ]
     for sigma in permutations(range(1, 6)):
         for mu in shapes:
@@ -194,26 +194,26 @@ def check_bijection(n_random_mu: int = 20, seed: int = 0) -> dict:
     return _report("bijection", failures)
 
 
-def check_oracle(box_max_k: int = 4, comp_n: int = 7, comp_max_k: int = 5) -> dict:
+def check_oracle(max_n: int = 7) -> dict:
     failures = []
-    for k in range(1, box_max_k + 1):
+    for k in range(1, 5):
         for mu in product(range(-2, 5), repeat=k):
             if immaculate_to_H(mu) != _determinant(mu):
                 failures.append(f"oracle mismatch at {mu}")
-    for n in range(comp_n + 1):
+    for n in range(max_n + 1):
         for mu in compositions_of(n):
-            if len(mu) > comp_max_k:
+            if len(mu) > 5:
                 continue
             if immaculate_to_H(mu) != _determinant(mu):
                 failures.append(f"oracle mismatch at {mu}")
     return _report("oracle", failures)
 
 
-def check_skew_oracle(n_pairs: int = 200, max_rows: int = 5, seed: int = 1) -> dict:
+def check_skew_oracle(seed: int = 1) -> dict:
     failures = []
     rng = random.Random(seed)
-    for _ in range(n_pairs):
-        k = rng.randint(1, max_rows)
+    for _ in range(200):
+        k = rng.randint(1, 5)
         mu = tuple(rng.randint(-3, 5) for _ in range(k))
         nu = tuple(rng.randint(-3, 5) for _ in range(k))
         if skew_immaculate_to_H(mu, nu) != _determinant(mu, nu):
@@ -221,16 +221,16 @@ def check_skew_oracle(n_pairs: int = 200, max_rows: int = 5, seed: int = 1) -> d
     return _report("skew-oracle", failures)
 
 
-def _random_partition(rng: random.Random, k: int, cap: int = 5) -> tuple[int, ...]:
-    parts = sorted((rng.randint(0, cap) for _ in range(k)), reverse=True)
+def _random_partition(rng: random.Random, k: int) -> tuple[int, ...]:
+    parts = sorted((rng.randint(0, 5) for _ in range(k)), reverse=True)
     return tuple(parts)
 
 
-def check_census(n_cases: int = 100, max_rows: int = 7, seed: int = 2) -> dict:
+def check_census(seed: int = 2) -> dict:
     failures = []
     rng = random.Random(seed)
-    for _ in range(n_cases):
-        k = rng.randint(1, max_rows)
+    for _ in range(100):
+        k = rng.randint(1, 7)
         mu = tuple(rng.randint(-3, 6) for _ in range(k))
         nu = _random_partition(rng, k)
         count = sum(1 for _ in enumerate_coverings(mu, nu))
@@ -239,11 +239,11 @@ def check_census(n_cases: int = 100, max_rows: int = 7, seed: int = 2) -> dict:
     return _report("census", failures)
 
 
-def check_signs(n_random_mu: int = 10, seed: int = 3) -> dict:
+def check_signs(seed: int = 3) -> dict:
     failures = []
     rng = random.Random(seed)
     shapes = [
-        tuple(rng.randint(-3, 6) for _ in range(5)) for _ in range(n_random_mu)
+        tuple(rng.randint(-3, 6) for _ in range(5)) for _ in range(10)
     ]
     for sigma in permutations(range(1, 6)):
         code = lehmer_code(sigma)
@@ -261,18 +261,18 @@ def check_signs(n_random_mu: int = 10, seed: int = 3) -> dict:
     return _report("signs", failures)
 
 
-def check_ribbon(max_n: int = 8, max_rows: int = 5, rect_area: int = 12,
-                 rect_max_rows: int = 8) -> dict:
+def check_ribbon(max_n: int = 8) -> dict:
     failures = []
     seen = set()
     for n in range(1, max_n + 1):
         for alpha in compositions_of(n):
-            if len(alpha) > max_rows or im2rib_class(alpha) is None:
+            if len(alpha) > 5 or im2rib_class(alpha) is None:
                 continue
             seen.add(alpha)
-    for m in range(1, rect_area + 1):
-        for k in range(1, rect_max_rows + 1):
-            if m * k <= rect_area:
+    # rectangles capped at 8 rows: (1^9)..(1^12) alone exceed any budget
+    for m in range(1, 13):
+        for k in range(1, 9):
+            if m * k <= 12:
                 seen.add((m,) * k)
     for alpha in sorted(seen):
         direct = immaculate_to_ribbon_direct(alpha)
@@ -282,7 +282,7 @@ def check_ribbon(max_n: int = 8, max_rows: int = 5, rect_area: int = 12,
     return _report("ribbon", failures)
 
 
-def check_roundtrips(max_n: int = 7, n_pairs: int = 50, seed: int = 4) -> dict:
+def check_roundtrips(max_n: int = 7, seed: int = 4) -> dict:
     failures = []
     for n in range(max_n + 1):
         for alpha in compositions_of(n):
@@ -293,7 +293,7 @@ def check_roundtrips(max_n: int = 7, n_pairs: int = 50, seed: int = 4) -> dict:
             if H_to_ribbon(ribbon_to_H(r_term)) != r_term:
                 failures.append(f"R -> H -> R roundtrip failed at {alpha}")
     rng = random.Random(seed)
-    for _ in range(n_pairs):
+    for _ in range(50):
         alpha = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
         beta = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
         lhs = ribbon_to_H(ribbon_product(alpha, beta))
@@ -363,10 +363,10 @@ def _connected(cells: frozenset) -> bool:
     return seen == cells
 
 
-def check_diagram_invariants(n_cases: int = 1000, seed: int = 5) -> dict:
+def check_diagram_invariants(seed: int = 5) -> dict:
     failures = []
     rng = random.Random(seed)
-    for _ in range(n_cases):
+    for _ in range(1000):
         d = _random_diagram(rng)
         boundary = d.boundary_cells()
         for (p, q) in boundary:
@@ -411,11 +411,20 @@ CHECKS = {
 }
 
 
-def run_suite(names=None, **overrides) -> list[dict]:
+#: The checks that take a seed, and those that take a size cap.
+_SEEDED = ("bijection", "skew-oracle", "census", "signs", "roundtrips",
+           "diagram-invariants")
+_SIZED = ("oracle", "ribbon", "roundtrips", "duality", "forgetful")
+
+
+def run_suite(names=None, *, seed=None, max_n=None) -> list[dict]:
     """Run the named checks (all by default) and return their reports.
 
-    Keyword overrides are matched against each check's parameters by name
-    where applicable; unknown names raise.
+    `seed`, when given, goes to each seeded check (bijection, skew-oracle,
+    census, signs, roundtrips, diagram-invariants) and `max_n` to each
+    sized one (oracle, ribbon, roundtrips, duality, forgetful); a check
+    given neither runs at its defaults. An unknown check name raises
+    ValueError, and any other keyword TypeError.
     """
     if names is None:
         names = list(CHECKS)
@@ -425,11 +434,10 @@ def run_suite(names=None, **overrides) -> list[dict]:
                          f"{', '.join(CHECKS)}")
     reports = []
     for name in names:
-        fn = CHECKS[name]
-        kwargs = {
-            key: value
-            for key, value in overrides.items()
-            if key in fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        }
-        reports.append(fn(**kwargs))
+        kwargs = {}
+        if seed is not None and name in _SEEDED:
+            kwargs["seed"] = seed
+        if max_n is not None and name in _SIZED:
+            kwargs["max_n"] = max_n
+        reports.append(CHECKS[name](**kwargs))
     return reports

@@ -31,39 +31,33 @@ def test_criterion_02_procedure_replay():
 
 
 def test_criterion_03_terminal_cell_bijection():
-    _run(3, "terminal-cell bijection", verify.check_bijection,
-         budget=5.0, n_random_mu=20)
+    _run(3, "terminal-cell bijection", verify.check_bijection, budget=5.0)
 
 
 def test_criterion_04_oracle_equivalence():
-    _run(4, "oracle equivalence", verify.check_oracle, budget=60.0,
-         box_max_k=4, comp_n=7, comp_max_k=5)
+    _run(4, "oracle equivalence", verify.check_oracle, budget=60.0, max_n=7)
 
 
 def test_criterion_05_skew_oracle_equivalence():
     _run(5, "skew oracle equivalence", verify.check_skew_oracle,
-         budget=30.0, n_pairs=200, max_rows=5)
+         budget=30.0)
 
 
 def test_criterion_06_covering_census():
-    _run(6, "covering census", verify.check_census,
-         n_cases=100, max_rows=7)
+    _run(6, "covering census", verify.check_census)
 
 
 def test_criterion_07_sign_length_subscript():
-    _run(7, "sign/length/subscript invariants", verify.check_signs,
-         n_random_mu=10)
+    _run(7, "sign/length/subscript invariants", verify.check_signs)
 
 
 def test_criterion_08_ribbon_class_identities():
-    # rectangles capped at 8 rows: (1^9)..(1^12) alone exceed any budget
     _run(8, "ribbon class identities", verify.check_ribbon, budget=60.0,
-         max_n=8, max_rows=5, rect_area=12, rect_max_rows=8)
+         max_n=8)
 
 
 def test_criterion_09_conversion_roundtrips():
-    _run(9, "conversion roundtrips", verify.check_roundtrips,
-         max_n=7, n_pairs=50)
+    _run(9, "conversion roundtrips", verify.check_roundtrips, max_n=7)
 
 
 def test_criterion_10_duality():
@@ -76,5 +70,4 @@ def test_criterion_11_forgetful_bridge():
 
 
 def test_criterion_12_diagram_invariants():
-    _run(12, "diagram invariants", verify.check_diagram_invariants,
-         n_cases=1000)
+    _run(12, "diagram invariants", verify.check_diagram_invariants)

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from helpers import normalize_h_index
+from immaculate.compositions import compositions_of
 from immaculate.coverings import covering_from_terminal_cells, enumerate_coverings
 from immaculate.expansions import (
     _fold_coverings,
@@ -105,6 +106,28 @@ def test_fold_validates_like_the_walk():
     with pytest.raises(ValueError, match=r"shape has 4 rows; enumeration is "
                                          r"limited to 3 \(raise max_k to override\)"):
         _fold_coverings((1, 2, 1, 2), (), 3)
+
+
+def test_right_pieri_rule():
+    # S_alpha * H_s = sum of S_beta over the beta of size |alpha| + s with
+    # l(alpha) <= l(beta) <= l(alpha) + 1 and beta_i >= alpha_i for
+    # i <= l(alpha) (Berg, Bergeron, Saliola, Serrano and Zabrocki,
+    # arXiv:1208.5191): rows of two sizes checked without the determinant
+    pairs = 0
+    for n in range(1, 8):
+        for s in range(1, n + 1):
+            for alpha in compositions_of(n - s):
+                k = len(alpha)
+                expected = BasisExpr.zero("H")
+                for beta in compositions_of(n):
+                    if k <= len(beta) <= k + 1 and all(
+                        b >= a for a, b in zip(alpha, beta)
+                    ):
+                        expected += immaculate_to_H(beta)
+                got = immaculate_to_H(alpha) * BasisExpr.term("H", (s,))
+                assert got == expected, (alpha, s)
+                pairs += 1
+    assert pairs == 127
 
 
 def test_straighten_example():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -92,6 +93,14 @@ def test_int_conversions_stay_exact():
     assert BasisExpr.from_json_dict(data) == BasisExpr.term("H", (1,))
     x = True * BasisExpr.term("H", (2,), 3)
     assert [type(c) for _, c in x.items()] == [int]
+
+
+@pytest.mark.parametrize("coeff", [2.5, 2.0, "7", None])
+def test_json_coefficients_must_be_ints(coeff):
+    data = {"basis": "H", "terms": [{"coeff": coeff, "index": [1]}]}
+    with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(coeff))} "
+                                         r"of index \(1,\) is not an int"):
+        BasisExpr.from_json_dict(data)
 
 
 def test_json_roundtrip():
