@@ -9,7 +9,7 @@ of {1..k} via sigma_i = p_i - q_i + 1 on terminal cells (p_i, q_i).
 
 from __future__ import annotations
 
-from math import prod
+from math import inf, prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .diagram import Cell, GbprDiagram, TunnelHook, build_diagram
@@ -72,14 +72,23 @@ def _check_bound(k: int, max_k: int) -> None:
         )
 
 
-def _walk(start: GbprDiagram, depth: int) -> Iterator[tuple[TunnelHook, ...]]:
+def _walk(
+    start: GbprDiagram, depth: int, least: float = -inf
+) -> Iterator[tuple[TunnelHook, ...]]:
     """The hooks of each covering of the bottom depth rows.
 
     Depth-first, tunnel cells taken bottom-up. The hooks leaving a state
-    (s, nu_now) are built through `TunnelHook.at` once and kept in a table
-    that lives only as long as this walk: about e * k! nodes share a few
-    hundred states at k = 7. The hooks of row depth are yielded in place,
-    not pushed as nodes of their own.
+    (s, nu_now) are built through `TunnelHook.at` once and kept in row s's
+    table, which lives only as long as this walk: about e * k! nodes share
+    a few hundred states at k = 7. The hooks of row depth are yielded in
+    place, not pushed as nodes of their own.
+
+    A hook whose delta is below the kill floor `least` is left out, and so
+    is every covering through it. delta = mu_s - nu_p + p - s grows with
+    the terminal row p, as nu_now is weakly decreasing on the active rows,
+    so the terminals are built from the top down and the first one below
+    the floor ends the row: every lower terminal is below it too. The
+    default floor passes every hook.
     """
     if depth == 0:
         yield ()
@@ -87,16 +96,22 @@ def _walk(start: GbprDiagram, depth: int) -> Iterator[tuple[TunnelHook, ...]]:
     k = start.k
     mu = start.mu
     at = TunnelHook.at
-    moves: dict[tuple[int, tuple[int, ...]], list[TunnelHook]] = {}
+    moves: list[dict[tuple[int, ...], list[TunnelHook]]] = [
+        {} for _ in range(depth + 1)]
     # (nu_now, s, hooks) per open node; children are pushed last terminal
     # first, so they pop in ascending terminal order.
     todo = [(start.nu, 1, ())]
     while todo:
         nu_now, s, hooks = todo.pop()
-        out = moves.get((s, nu_now))
+        table = moves[s]
+        out = table.get(nu_now)
         if out is None:
-            out = moves[s, nu_now] = [at(mu, nu_now, s, p)
-                                      for p in range(k, s - 1, -1)]
+            out = table[nu_now] = []
+            for p in range(k, s - 1, -1):
+                hook = at(mu, nu_now, s, p)
+                if hook.delta < least:
+                    break
+                out.append(hook)
         if s == depth:
             for hook in reversed(out):
                 yield hooks + (hook,)

@@ -192,15 +192,24 @@ def make_tunnel_hook(diagram: GbprDiagram, tau: Cell) -> TunnelHook:
 
 
 def apply_hook(diagram: GbprDiagram, hook: TunnelHook) -> GbprDiagram:
-    """Absorb the hook: bump nu by the per-row cover counts, advance offset.
+    """Absorb the hook: its bumped inner shape becomes nu, offset advances.
 
-    Rows are rebuilt from (mu, new nu); covered purple and red cells turn
-    into the grey/red bookkeeping of the next diagram automatically.
+    The hook must be the one `TunnelHook.at` builds on this diagram for
+    its terminal row p, with p an active row; any other hook, such as one
+    built on another mu or nu, raises ValueError. Rows are rebuilt from
+    (mu, bumped); covered purple and red cells turn into the grey/red
+    bookkeeping of the next diagram automatically.
     """
-    if hook.start_row != diagram.start_row:
-        raise ValueError("hook does not start at the diagram's active row")
-    nu = tuple(n + e for n, e in zip(diagram.nu, hook.eta))
-    return GbprDiagram(diagram.mu, nu, diagram.offset + 1)
+    s = diagram.start_row
+    p = hook.terminal[0]
+    if not s <= p <= diagram.k or hook != TunnelHook.at(
+        diagram.mu, diagram.nu, s, p
+    ):
+        raise ValueError(
+            f"hook to terminal {hook.terminal} was not built on the diagram "
+            f"{diagram.mu} over {diagram.nu} at row {s}"
+        )
+    return GbprDiagram(diagram.mu, hook.bumped, diagram.offset + 1)
 
 
 def _row_width(diagram: GbprDiagram, i: int) -> int:

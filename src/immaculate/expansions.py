@@ -3,10 +3,9 @@
 The central identity: the Schur-like basis element indexed by an integer
 sequence mu (skewed by nu) expands in the complete homogeneous basis as
 the signed sum, over all coverings, of H indexed by the covering's value
-sequence. Subscript normalization is applied per hook as the fold walks
-down: a zero subscript is dropped (H_0 = 1) and a negative one kills
-every covering below that hook (H_a = 0 for a < 0), so that subtree is
-never visited.
+sequence. A negative subscript kills every covering below its hook
+(H_a = 0 for a < 0): the covering walk never visits that subtree. A zero
+subscript is dropped (H_0 = 1) when a leaf's index is read.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Iterable, Optional
 
 from .compositions import compositions_of, is_partition
 from .coverings import DEFAULT_MAX_K, _check_bound, _sign, _walk
-from .diagram import build_diagram, pad_pair, step
+from .diagram import build_diagram, pad_pair
 from .expr import BasisExpr
 
 IntSeq = tuple[int, ...]
@@ -26,36 +25,20 @@ def _fold_coverings(
 ) -> dict[IntSeq, int]:
     """Normalized index -> summed sign over all coverings of mu/nu.
 
-    Depth-first over `step`, carrying the sign and the normalized index:
-    only coverings whose subscripts are all at least `least` are visited,
-    and a zero subscript is dropped (H_0 = 1). The subscript
-    mu_s - nu_p + p - s grows with the terminal row p, as nu is weakly
-    decreasing on the active rows, so terminals are tried from the top
-    down and the first one below `least` ends the row: it and every lower
-    terminal kill their whole subtrees. least = 0 gives the H expansion
-    (H_a = 0 for a < 0); least = 1 gives the direct ribbon formula, where
-    a zero part kills too.
+    One loop over `coverings._walk` under the kill floor `least`: only
+    coverings whose subscripts are all at least `least` are visited, since
+    the walk ends a row at its first hook below the floor (the subscript
+    grows with the terminal row, so every lower terminal is below it too).
+    A zero subscript is dropped (H_0 = 1) when the leaf's index is read.
+    least = 0 gives the H expansion (H_a = 0 for a < 0); least = 1 gives
+    the direct ribbon formula, where a zero part kills too.
     """
     start = build_diagram(mu, nu)
     _check_bound(start.k, max_k)
-    k = start.k
-    mu = start.mu
     terms: dict[IntSeq, int] = {}
-
-    def walk(nu_now: IntSeq, s: int, index: IntSeq, sign: int) -> None:
-        if s > k:
-            terms[index] = terms.get(index, 0) + sign
-            return
-        for p in range(k, s - 1, -1):
-            delta, step_sign, bumped = step(mu, nu_now, s, p)
-            if delta > 0:
-                walk(bumped, s + 1, index + (delta,), sign * step_sign)
-            elif delta < least:
-                return
-            else:
-                walk(bumped, s + 1, index, sign * step_sign)
-
-    walk(start.nu, 1, (), 1)
+    for hooks in _walk(start, start.k, least):
+        index = tuple([h.delta for h in hooks if h.delta])
+        terms[index] = terms.get(index, 0) + _sign(hooks)
     return terms
 
 

@@ -147,18 +147,6 @@ class BasisExpr:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "BasisExpr":
-        terms: dict[Index, int] = {}
-        for entry in data["terms"]:
-            index, coeff = tuple(entry["index"]), entry["coeff"]
-            # True is an int and loads as 1; 2.0 and "7" are not ints
-            if not isinstance(coeff, int):
-                raise ValueError(
-                    f"coefficient {coeff!r} of index {index} is not an int")
-            terms[index] = terms.get(index, 0) + int(coeff)
-        return cls(data["basis"], terms)
-
     @staticmethod
     def _join_signed(parts: list[tuple[str, str]]) -> str:
         sign, first = parts[0]

@@ -2,6 +2,8 @@
 
 from itertools import permutations
 
+from immaculate.expr import BasisExpr
+
 
 def normalize_h_index(raw):
     """A raw H subscript sequence as a strong composition, or None.
@@ -13,6 +15,12 @@ def normalize_h_index(raw):
     if any(a < 0 for a in seq):
         return None
     return tuple(a for a in seq if a != 0)
+
+
+def expr_from_json(data):
+    """A `BasisExpr` read back from its `to_json_dict` form."""
+    return BasisExpr(data["basis"],
+                     {tuple(t["index"]): t["coeff"] for t in data["terms"]})
 
 
 def _cycle_sign(sigma):

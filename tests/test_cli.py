@@ -32,9 +32,9 @@ def test_expand_immaculate_skew_json(capsys):
     assert data["basis"] == "H"
     assert len(data["terms"]) == 4
     # parse-back: json and text describe the same expression
-    from immaculate.expr import BasisExpr
+    from helpers import expr_from_json
 
-    expr = BasisExpr.from_json_dict(data)
+    expr = expr_from_json(data)
     code, out, _ = run(capsys, "expand", "immaculate", "--shape", "2,5,3",
                        "--skew", "1,3", "--format", "text")
     assert out.strip() == expr.to_text()
@@ -165,7 +165,7 @@ def test_thc_list(capsys):
 def test_thc_list_pads_short_shape(capsys):
     # an inner shape longer than the shape pads the shape with zero rows,
     # in thc list as in expand
-    from helpers import normalize_h_index
+    from helpers import expr_from_json, normalize_h_index
     from immaculate.expr import BasisExpr
 
     code, out, _ = run(capsys, "thc", "list", "--shape", "2,1",
@@ -180,7 +180,7 @@ def test_thc_list_pads_short_shape(capsys):
     code, out, _ = run(capsys, "expand", "immaculate", "--shape", "2,1",
                        "--skew", "1,0,0", "--format", "json")
     assert code == 0
-    expected = BasisExpr.from_json_dict(json.loads(out))
+    expected = expr_from_json(json.loads(out))
     assert BasisExpr("H", terms) == expected == BasisExpr.term("H", (1, 1))
 
 
@@ -197,7 +197,7 @@ def test_thc_rejects_non_partition_inner_shape(capsys):
 def test_thc_on_straightened_shape_matches_expand(capsys):
     # following the advice: thc list on the straightened shape folds, with
     # the straightening sign, to the expand result
-    from helpers import normalize_h_index
+    from helpers import expr_from_json, normalize_h_index
     from immaculate.expr import BasisExpr
 
     code, out, _ = run(capsys, "straighten", "--shape", "2,5,3",
@@ -216,7 +216,7 @@ def test_thc_on_straightened_shape_matches_expand(capsys):
             terms[index] = terms.get(index, 0) + straight["sign"] * covering["sign"]
     code, out, _ = run(capsys, "expand", "immaculate", "--shape", "2,5,3",
                        "--skew", "1,3", "--format", "json")
-    assert BasisExpr("H", terms) == BasisExpr.from_json_dict(json.loads(out))
+    assert BasisExpr("H", terms) == expr_from_json(json.loads(out))
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -133,17 +133,22 @@ def test_hook_delta_examples():
         assert hook.sign == (-1) ** (tau[0] - 3)
 
 
-def test_step_matches_boundary_cells():
-    # the closed form against the paper's spin-plus-taxicab delta and the
-    # boundary cells the hook covers, on random diagrams with an offset
-    rng = random.Random(11)
-    for _ in range(300):
+def random_diagrams(seed, count):
+    """Seeded diagrams with k <= 6 rows and at least one active row."""
+    rng = random.Random(seed)
+    for _ in range(count):
         k = rng.randint(1, 6)
         offset = rng.randint(0, k - 1)
         mu = tuple(rng.randint(-4, 6) for _ in range(k))
         head = tuple(rng.randint(0, 5) for _ in range(offset))
         tail = sorted((rng.randint(0, 5) for _ in range(k - offset)), reverse=True)
-        d = GbprDiagram(mu, head + tuple(tail), offset)
+        yield GbprDiagram(mu, head + tuple(tail), offset)
+
+
+def test_step_matches_boundary_cells():
+    # the closed form against the paper's spin-plus-taxicab delta and the
+    # boundary cells the hook covers, on random diagrams with an offset
+    for d in random_diagrams(11, 300):
         s = d.start_row
         _, b, c = d.counts(s)
         boundary = d.boundary_cells()
@@ -187,6 +192,43 @@ def test_apply_hook_exhausts_single_row():
     d = apply_hook(d, make_tunnel_hook(d, (1, 1)))
     assert d.is_exhausted()
     assert d.tunnel_cells() == []
+
+
+def test_apply_hook_takes_the_bumped_inner_shape():
+    for d in random_diagrams(12, 200):
+        for tau in d.tunnel_cells():
+            hook = make_tunnel_hook(d, tau)
+            assert apply_hook(d, hook) == GbprDiagram(d.mu, hook.bumped, d.offset + 1)
+
+
+def test_apply_hook_refuses_a_hook_built_on_another_diagram():
+    hook = make_tunnel_hook(build_diagram((3, 1, 2)), (3, 1))
+    assert apply_hook(build_diagram((3, 1, 2)), hook).nu == (3, 1, 1)
+    # another nu: adding eta would give (5, 2, 1)
+    with pytest.raises(ValueError, match=r"not built on the diagram "
+                                         r"\(3, 1, 2\) over \(2, 1, 0\)"):
+        apply_hook(build_diagram((3, 1, 2), (2, 1, 0)), hook)
+    # another mu: adding eta would give (3, 1, 1), not its own (5, 1, 1)
+    assert make_tunnel_hook(build_diagram((5, 5, 5)), (3, 1)).bumped == (5, 1, 1)
+    with pytest.raises(ValueError, match="not built on the diagram"):
+        apply_hook(build_diagram((5, 5, 5)), hook)
+
+
+def test_apply_hook_refuses_a_terminal_row_out_of_range():
+    d = build_diagram((3, 1, 2))
+    first = make_tunnel_hook(d, (1, 1))
+    after = apply_hook(d, first)
+    # terminal row 1 lies below the start row 2
+    with pytest.raises(ValueError, match="not built on the diagram"):
+        apply_hook(after, first)
+    # terminal row 4 lies above the top row 3
+    taller = make_tunnel_hook(build_diagram((3, 1, 2, 0)), (4, 1))
+    with pytest.raises(ValueError, match="not built on the diagram"):
+        apply_hook(d, taller)
+    row = build_diagram((4,))
+    exhausted = apply_hook(row, make_tunnel_hook(row, (1, 1)))
+    with pytest.raises(ValueError, match="not built on the diagram"):
+        apply_hook(exhausted, first)
 
 
 def test_render_ascii_blue_rows():

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import normalize_h_index
+from helpers import expr_from_json, normalize_h_index
 from immaculate.coverings import enumerate_coverings
 from immaculate.expansions import (
     forgetful_to_h,
@@ -68,7 +68,7 @@ def test_addition_commutative(a, b):
 
 @given(h_exprs())
 def test_json_roundtrip(expr):
-    assert BasisExpr.from_json_dict(expr.to_json_dict()) == expr
+    assert expr_from_json(expr.to_json_dict()) == expr
 
 
 @given(h_exprs(), h_exprs())
