@@ -68,4 +68,12 @@ def lehmer_code(sigma: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def permutation_sign(sigma: tuple[int, ...]) -> int:
-    return -1 if sum(lehmer_code(sigma)) % 2 else 1
+    """(-1)^(inversions) of distinct values: the parity of the swaps that
+    put each index of sigma's index sort in place, O(k log k)."""
+    order = sorted(range(len(sigma)), key=sigma.__getitem__)
+    swaps = 0
+    for i in range(len(order)):
+        while (j := order[i]) != i:
+            order[i], order[j] = order[j], j
+            swaps += 1
+    return -1 if swaps % 2 else 1

@@ -177,6 +177,7 @@ def covering_from_permutation(
         raise ValueError("sigma and mu must have equal length")
     if sorted(sigma) != list(range(1, len(mu) + 1)):
         raise ValueError(f"not a permutation of 1..{len(mu)}: {sigma}")
+    _check_bound(len(mu), max_k)
     cells = []
     for r, value in enumerate(sigma):
         m = sum(1 for earlier in sigma[:r] if earlier > value)

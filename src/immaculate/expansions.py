@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .compositions import compositions_of, is_partition
+from .compositions import compositions_of, permutation_sign
 from .coverings import DEFAULT_MAX_K, _check_bound, _sign, _walk
 from .diagram import build_diagram, pad_pair
 from .expr import BasisExpr
@@ -42,11 +42,6 @@ def _fold_coverings(
     return terms
 
 
-def inner_is_partition(nu: Iterable[int]) -> bool:
-    """Nonnegative and weakly decreasing: mu/nu needs no straightening."""
-    return is_partition(part + 1 for part in nu)
-
-
 def immaculate_to_H(mu: Iterable[int], *, max_k: int = DEFAULT_MAX_K) -> BasisExpr:
     """H-expansion of the immaculate element indexed by the sequence mu."""
     mu = tuple(mu)
@@ -59,29 +54,21 @@ def straighten_skew(
     """Normalize arbitrary integer inner shape nu to a nonnegative partition.
 
     Returns (sign, mu', nu') with sign in {-1, 0, +1}; sign 0 means the
-    skew element vanishes. Two value-preserving moves are used: adding a
-    common constant to every part of mu and nu, and the signed swap
-    (nu_p, nu_{p+1}) -> (nu_{p+1} - 1, nu_p + 1) that exchanges the
-    corresponding matrix columns. An adjacent rise by exactly one makes
-    two columns equal, so the element is zero.
+    skew element vanishes. Adding a common constant to every part of mu
+    and nu keeps the element, so both are shifted until nu is nonnegative.
+    The Jacobi-Trudi columns are indexed by c_j = nu_j - j: they are sorted
+    decreasing, nu'_j = c'_j + j, and the sign is the parity of the sort.
+    Two equal columns make the element zero; the tie shows in nu' as an
+    adjacent rise by exactly one.
     """
     mu, nu = pad_pair(mu, nu)
-    if nu and min(nu) < 0:
-        shift = -min(nu)
-        mu = tuple(m + shift for m in mu)
-        nu = tuple(n + shift for n in nu)
-    parts = list(nu)
-    sign = 1
-    while True:
-        for p in range(len(parts) - 1):
-            if parts[p] < parts[p + 1]:
-                if parts[p + 1] == parts[p] + 1:
-                    return 0, mu, tuple(parts)
-                parts[p], parts[p + 1] = parts[p + 1] - 1, parts[p] + 1
-                sign = -sign
-                break
-        else:
-            return sign, mu, tuple(parts)
+    shift = max(0, -min(nu, default=0))
+    cols = [part + shift - j for j, part in enumerate(nu)]
+    sign = (permutation_sign([-c for c in cols])
+            if len(set(cols)) == len(cols) else 0)
+    cols.sort(reverse=True)
+    return (sign, tuple([m + shift for m in mu]),
+            tuple([c + j for j, c in enumerate(cols)]))
 
 
 def skew_immaculate_to_H(
@@ -90,14 +77,15 @@ def skew_immaculate_to_H(
     *,
     max_k: int = DEFAULT_MAX_K,
 ) -> BasisExpr:
-    """H-expansion of the skew element mu/nu for arbitrary integer nu."""
-    mu, nu = pad_pair(mu, nu)
-    if inner_is_partition(nu):
-        return BasisExpr("H", _fold_coverings(mu, nu, max_k))
+    """H-expansion of the skew element mu/nu for arbitrary integer nu.
+
+    A partition nu straightens to itself with sign +1.
+    """
     sign, mu, nu = straighten_skew(mu, nu)
     if sign == 0:
         return BasisExpr.zero("H")
-    return sign * BasisExpr("H", _fold_coverings(mu, nu, max_k))
+    expr = BasisExpr("H", _fold_coverings(mu, nu, max_k))
+    return expr if sign > 0 else -expr
 
 
 def skew_prefix_decomposition(

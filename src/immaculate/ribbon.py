@@ -75,22 +75,20 @@ def ribbon_product(alpha: Iterable[int], beta: Iterable[int]) -> BasisExpr:
 
 
 def im2rib_class(alpha: Iterable[int]) -> Optional[int]:
-    """Smallest J with alpha_l >= l for l <= J and alpha_l = J after, if any.
+    """The J with alpha_l >= l for l <= J and alpha_l = J after, if any.
 
     Membership marks the shapes whose ribbon expansion is given by the
-    direct signed-permutation formula below. J = 0 holds only for the
-    empty composition: I_() = 1 = R_(). A part below 1 raises.
+    direct signed-permutation formula below. Only J = min(alpha_k, k) can
+    qualify: a J below k puts alpha_k in the tail, so J = alpha_k, and
+    J = k needs alpha_k >= k. J = 0 holds only for the empty composition:
+    I_() = 1 = R_(). A part below 1 raises.
     """
     alpha = tuple(alpha)
     if any(a < 1 for a in alpha):
         raise ValueError(f"alpha must be a strong composition: {alpha}")
-    k = len(alpha)
-    for J in range(k + 1):
-        if all(alpha[l - 1] >= l for l in range(1, J + 1)) and all(
-            alpha[l - 1] == J for l in range(J + 1, k + 1)
-        ):
-            return J
-    return None
+    J = min(alpha[-1], len(alpha)) if alpha else 0
+    fits = all(a >= l for l, a in enumerate(alpha[:J], start=1))
+    return J if fits and all(a == J for a in alpha[J:]) else None
 
 
 def immaculate_to_ribbon_direct(

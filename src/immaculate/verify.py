@@ -415,6 +415,8 @@ CHECKS = {
 _SEEDED = ("bijection", "skew-oracle", "census", "signs", "roundtrips",
            "diagram-invariants")
 _SIZED = ("oracle", "ribbon", "roundtrips", "duality", "forgetful")
+#: duality folds every composition of max_n once per composition of max_n
+MAX_N = 8
 
 
 def run_suite(names=None, *, seed=None, max_n=None) -> list[dict]:
@@ -423,9 +425,12 @@ def run_suite(names=None, *, seed=None, max_n=None) -> list[dict]:
     `seed`, when given, goes to each seeded check (bijection, skew-oracle,
     census, signs, roundtrips, diagram-invariants) and `max_n` to each
     sized one (oracle, ribbon, roundtrips, duality, forgetful); a check
-    given neither runs at its defaults. An unknown check name raises
-    ValueError, and any other keyword TypeError.
+    given neither runs at its defaults. A max_n outside 1..MAX_N or an
+    unknown check name raises ValueError, and any other keyword TypeError.
     """
+    if max_n is not None and not 1 <= max_n <= MAX_N:
+        raise ValueError(f"--n (max_n) must be between 1 and {MAX_N}, "
+                         f"got {max_n}")
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]

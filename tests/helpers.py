@@ -55,3 +55,43 @@ def permutation_determinant(matrix, commutative=False):
             index = tuple(sorted(index, reverse=True))
         terms[index] = terms.get(index, 0) + _cycle_sign(sigma)
     return {index: c for index, c in terms.items() if c}
+
+
+def im2rib_class_search(alpha):
+    """The smallest J in 0..k with alpha_l >= l for l <= J and alpha_l = J
+    after, found by trying each J in turn; None if there is none."""
+    k = len(alpha)
+    for J in range(k + 1):
+        if all(alpha[l - 1] >= l for l in range(1, J + 1)) and all(
+            alpha[l - 1] == J for l in range(J + 1, k + 1)
+        ):
+            return J
+    return None
+
+
+def straighten_by_swaps(mu, nu):
+    """(sign, mu, nu) straightened by signed adjacent swaps.
+
+    Both sequences are zero-padded to one length and shifted until nu is
+    nonnegative. Then (nu_p, nu_p+1) -> (nu_p+1 - 1, nu_p + 1) swaps two
+    Jacobi-Trudi columns and flips the sign, until nu is weakly
+    decreasing; an adjacent rise by exactly one means two equal columns,
+    and the sign is 0 with nu as it stands at that point.
+    """
+    k = max(len(mu), len(nu))
+    mu = list(mu) + [0] * (k - len(mu))
+    nu = list(nu) + [0] * (k - len(nu))
+    shift = max([0] + [-part for part in nu])
+    mu = tuple(m + shift for m in mu)
+    nu = [n + shift for n in nu]
+    sign = 1
+    while True:
+        for p in range(k - 1):
+            if nu[p] < nu[p + 1]:
+                if nu[p + 1] == nu[p] + 1:
+                    return 0, mu, tuple(nu)
+                nu[p], nu[p + 1] = nu[p + 1] - 1, nu[p] + 1
+                sign = -sign
+                break
+        else:
+            return sign, mu, tuple(nu)

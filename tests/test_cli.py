@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -287,6 +288,15 @@ def test_thc_render_too_wide(capsys, sigma):
     assert peak < 1_000_000
 
 
+def test_verify_help_gives_the_library_cap(capsys):
+    # the help names the cap without importing verify
+    from immaculate.verify import MAX_N
+
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    assert f"size cap, 1 to {MAX_N}, for" in " ".join(out.split())
+
+
 def test_verify_unknown_check_lists_the_checks(capsys):
     # --help no longer lists the checks (that would import verify), so the
     # error does
@@ -317,7 +327,35 @@ def test_verify_rejects_n_out_of_range(capsys, n):
     # so a large --n would hang, not fail
     code, out, err = run(capsys, "verify", "--n", n, "--suite", "duality")
     assert (code, out) == (1, "")
-    assert err == f"error: --n must be between 1 and 8, got {n}\n"
+    assert err == f"error: --n (max_n) must be between 1 and 8, got {n}\n"
+
+
+def test_straighten_vanishing_text(capsys):
+    code, out, _ = run(capsys, "straighten", "--shape", "0,0,0",
+                       "--skew", "0,1,3")
+    assert (code, out) == (0, "sign 0 (element vanishes)\n"
+                              "shape 0,0,0 / 1,1,2\n")
+
+
+_LONG = 20000
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "immaculate", "--shape", "1",
+     "--skew", ",".join(str(2 * j) for j in range(_LONG))),
+    ("expand", "immaculate", "--basis", "R",
+     "--shape", ",".join(str(i) for i in range(1, _LONG + 1))),
+    ("thc", "render", "--shape", ",".join(["1"] * _LONG),
+     "--sigma", ",".join(str(i) for i in range(_LONG, 0, -1))),
+], ids=["skew", "ribbon-ascending", "render-sigma"])
+def test_row_bound_refuses_a_long_shape_at_once(capsys, argv):
+    # the bound comes before straightening, the class test and the
+    # terminal cells could cost more than linear time in the rows
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert f"shape has {_LONG} rows; enumeration is limited to 10" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -68,6 +69,17 @@ def test_permutation_sign_brute_force():
             1 for i in range(5) for j in range(i + 1, 5) if sigma[i] > sigma[j]
         )
         assert permutation_sign(sigma) == (-1) ** inversions
+
+
+def test_permutation_sign_is_the_parity_of_the_lehmer_code():
+    for k in range(8):
+        for sigma in permutations(range(1, k + 1)):
+            assert permutation_sign(sigma) == (-1) ** sum(lehmer_code(sigma))
+    # any distinct values, not only 1..k: the sign of the sort
+    rng = random.Random(23)
+    for _ in range(2000):
+        seq = rng.sample(range(-40, 40), rng.randint(0, 12))
+        assert permutation_sign(seq) == (-1) ** sum(lehmer_code(seq)), seq
 
 
 def test_is_partition():

@@ -198,6 +198,17 @@ def test_covering_from_identity():
     assert g.delta_seq == mu
 
 
+def test_covering_from_permutation_checks_the_row_bound_after_sigma():
+    # a bad sigma is named first; a good one over too many rows is
+    # refused before its terminal cells are built
+    with pytest.raises(ValueError, match="not a permutation"):
+        covering_from_permutation((1,) * 11, (1,) * 11)
+    with pytest.raises(ValueError, match="limited to 10"):
+        covering_from_permutation((1,) * 11, range(11, 0, -1))
+    with pytest.raises(ValueError, match="limited to 2"):
+        covering_from_permutation((3, 1, 3), (2, 1, 3), max_k=2)
+
+
 def test_covering_from_permutation_delta():
     g = covering_from_permutation((3, 1, 3), (2, 1, 3))
     assert g.delta_seq == (4, 0, 3)

@@ -1,9 +1,10 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
 
-from helpers import normalize_h_index
+from helpers import normalize_h_index, straighten_by_swaps
 from immaculate.compositions import compositions_of
 from immaculate.coverings import covering_from_terminal_cells, enumerate_coverings
 from immaculate.expansions import (
@@ -148,6 +149,46 @@ def test_straighten_detects_vanishing():
 def test_straighten_single_swap_sign():
     sign, mu, nu = straighten_skew((3, 3), (0, 2))
     assert sign == -1 and nu == (1, 1)
+
+
+def test_straighten_vanishing_shows_the_tie_in_nu():
+    # columns nu_j - j are 0, 0, 1: sorted 1, 0, 0, so nu = 1, 1, 2
+    assert straighten_skew((0, 0, 0), (0, 1, 3)) == (0, (0, 0, 0), (1, 1, 2))
+
+
+def test_straighten_matches_the_swap_reference():
+    rng = random.Random(31)
+    vanished = 0
+    for _ in range(4000):
+        k = rng.randint(0, 7)
+        mu = tuple(rng.randint(-4, 8) for _ in range(k))
+        nu = tuple(rng.randint(-5, 9) for _ in range(rng.randint(0, k)))
+        got = straighten_skew(mu, nu)
+        want = straighten_by_swaps(mu, nu)
+        if want[0]:
+            assert got == want, (mu, nu)
+            continue
+        vanished += 1
+        sign, mu_out, nu_out = got
+        assert (sign, mu_out) == want[:2], (mu, nu)
+        # nu is the column sort of the shifted nu, a tie shown as a rise by one
+        padded = nu + (0,) * (len(mu_out) - len(nu))
+        shift = max([0] + [-part for part in padded])
+        cols = sorted([part + shift - j for j, part in enumerate(padded)],
+                      reverse=True)
+        assert [part - j for j, part in enumerate(nu_out)] == cols
+        assert any(b == a + 1 for a, b in zip(nu_out, nu_out[1:]))
+    assert vanished > 100
+
+
+def test_straighten_is_fast_on_a_long_skew():
+    # 20 000 columns in increasing order: a reversal, with an even
+    # number (k(k-1)/2) of inversions
+    nu = tuple(range(0, 40000, 2))
+    start = time.perf_counter()
+    got = straighten_skew((1,), nu)
+    assert time.perf_counter() - start < 2
+    assert got == (1, (1,) + (0,) * 19999, (19999,) * 20000)
 
 
 def test_straightened_value_matches_oracle():

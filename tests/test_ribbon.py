@@ -1,9 +1,10 @@
 import random
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
+from helpers import im2rib_class_search
 from immaculate.compositions import compositions_of, permutation_sign
 from immaculate.expansions import immaculate_to_H
 from immaculate.expr import BasisExpr
@@ -130,6 +131,16 @@ def test_class_empty_composition():
     assert im2rib_class(()) == 0
     assert immaculate_to_ribbon_direct(()) == BasisExpr.term("R", ())
     assert H_to_ribbon(immaculate_to_H(())) == BasisExpr.term("R", ())
+
+
+def test_class_matches_the_J_search():
+    # every composition with at most 6 parts in 1..8
+    count = 0
+    for k in range(7):
+        for alpha in product(range(1, 9), repeat=k):
+            assert im2rib_class(alpha) == im2rib_class_search(alpha), alpha
+            count += 1
+    assert count == 299593
 
 
 def test_class_absent():

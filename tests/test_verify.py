@@ -1,5 +1,6 @@
 """The contract of `verify.run_suite`: which keyword reaches which check."""
 
+import re
 from inspect import signature
 
 import pytest
@@ -66,3 +67,20 @@ def test_a_misspelt_keyword_raises(calls):
 def test_default_suite_passes_every_check_in_order():
     assert verify.run_suite() == [
         {"check": name, "pass": True, "detail": "ok"} for name in NAMES]
+
+
+@pytest.mark.parametrize("max_n", [-1, 0, 9, 12])
+def test_max_n_outside_1_to_8_raises_before_any_check(calls, max_n):
+    # 0 would pass every sized check vacuously, and 12 would fold 4^11
+    # compositions in duality
+    message = f"--n (max_n) must be between 1 and 8, got {max_n}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify.run_suite(max_n=max_n)
+    assert calls == {}
+
+
+def test_max_n_at_either_end_reaches_the_check(calls):
+    verify.run_suite(["duality", "oracle"], max_n=8)
+    verify.run_suite(["ribbon"], max_n=1)
+    assert calls == {"duality": {"max_n": 8}, "oracle": {"max_n": 8},
+                     "ribbon": {"max_n": 1}}
