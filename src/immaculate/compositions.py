@@ -32,6 +32,18 @@ def is_partition(seq: Iterable[int]) -> bool:
     )
 
 
+class _Omitted(str):
+    __repr__ = str.__str__  # a tuple prints it unquoted
+
+
+def brief(parts: tuple) -> tuple:
+    """parts, or past 10 parts its first 10 and "... N parts": what a
+    refusal shows of its input, so a long one gives a short message."""
+    if len(parts) <= 10:
+        return parts
+    return parts[:10] + (_Omitted(f"... {len(parts)} parts"),)
+
+
 def _coarsen(alpha: tuple[int, ...], subset: Iterable[int]) -> tuple[int, ...]:
     """Merge adjacent parts of alpha across the gaps listed in subset.
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 from math import inf, prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .diagram import Cell, GbprDiagram, TunnelHook, build_diagram
+from .compositions import brief
+from .diagram import (Cell, GbprDiagram, TunnelHook, _hook_to_cell,
+                      build_diagram, step)
 
 DEFAULT_MAX_K = 10
 
@@ -78,7 +80,7 @@ def _walk(
     """The hooks of each covering of the bottom depth rows.
 
     Depth-first, tunnel cells taken bottom-up. The hooks leaving a state
-    (s, nu_now) are built through `TunnelHook.at` once and kept in row s's
+    (s, nu_now) are built through `step` once and kept in row s's
     table, which lives only as long as this walk: about e * k! nodes share
     a few hundred states at k = 7. The hooks of row depth are yielded in
     place, not pushed as nodes of their own.
@@ -95,7 +97,6 @@ def _walk(
         return
     k = start.k
     mu = start.mu
-    at = TunnelHook.at
     moves: list[dict[tuple[int, ...], list[TunnelHook]]] = [
         {} for _ in range(depth + 1)]
     # (nu_now, s, hooks) per open node; children are pushed last terminal
@@ -108,7 +109,7 @@ def _walk(
         if out is None:
             out = table[nu_now] = []
             for p in range(k, s - 1, -1):
-                hook = at(mu, nu_now, s, p)
+                hook = step(mu, nu_now, s, p)
                 if hook.delta < least:
                     break
                 out.append(hook)
@@ -153,11 +154,7 @@ def covering_from_terminal_cells(
     nu_now = start.nu
     hooks = []
     for s, tau in enumerate(cells, start=1):
-        tau = tuple(tau)
-        p = tau[0] if tau else 0
-        if not (s <= p <= k and tau == (p, nu_now[p - 1] + 1)):
-            raise ValueError(f"{tau} is not a tunnel cell of the diagram")
-        hook = TunnelHook.at(start.mu, nu_now, s, p)
+        hook = _hook_to_cell(start.mu, nu_now, s, tuple(tau))
         hooks.append(hook)
         nu_now = hook.bumped
     return TunnelHookCovering(start.mu, start.nu, tuple(hooks))
@@ -176,7 +173,7 @@ def covering_from_permutation(
     if len(sigma) != len(mu):
         raise ValueError("sigma and mu must have equal length")
     if sorted(sigma) != list(range(1, len(mu) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(mu)}: {sigma}")
+        raise ValueError(f"not a permutation of 1..{len(mu)}: {brief(sigma)}")
     _check_bound(len(mu), max_k)
     cells = []
     for r, value in enumerate(sigma):

@@ -14,9 +14,9 @@ so a_i + b_i - c_i = mu_i always, and no row has both blue and red.
 Everything else in the quadrant is implicitly purple; purple cells are
 never stored (the purple region is infinite).
 
-A tunnel hook from the start row s to the terminal row p has a closed
-form, computed once by `step`. Because a_s = nu_s and a_s + b_s - c_s =
-mu_s, it needs no colour counts or boundary scan:
+A tunnel hook from the start row s to the tunnel cell (p, nu_p + 1) has
+a closed form; `step` builds every `TunnelHook` record from it. Because
+a_s = nu_s and a_s + b_s - c_s = mu_s, it needs no colour counts or scan:
 
   delta     = mu_s - nu_p + (p - s)        (the H subscript it contributes)
   sign      = (-1)^(p - s)
@@ -31,6 +31,8 @@ against.
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
+
+from .compositions import brief
 
 Cell = tuple[int, int]
 
@@ -63,11 +65,11 @@ class GbprDiagram(_Diagram):
         if not 0 <= offset <= len(mu):
             raise ValueError(f"offset {offset} out of range")
         if any(n < 0 for n in nu):
-            raise ValueError(f"nu must be nonnegative: {nu}")
+            raise ValueError(f"nu must be nonnegative: {brief(nu)}")
         tail = nu[offset:]
         if any(tail[i] < tail[i + 1] for i in range(len(tail) - 1)):
             raise ValueError(
-                f"active rows of nu must be weakly decreasing: {tail}"
+                f"active rows of nu must be weakly decreasing: {brief(tail)}"
             )
         return super().__new__(cls, mu, nu, offset)
 
@@ -135,17 +137,6 @@ def build_diagram(
     return GbprDiagram(*pad_pair(mu, nu), offset)
 
 
-def step(
-    mu: tuple[int, ...], nu: tuple[int, ...], s: int, p: int
-) -> tuple[int, int, tuple[int, ...]]:
-    """(delta, sign, bumped nu) of the tunnel hook from row s to row p."""
-    bumped = list(nu)
-    bumped[s - 1] += max(1, abs(mu[s - 1] - nu[s - 1]))
-    for r in range(s + 1, p + 1):
-        bumped[r - 1] = nu[r - 2] + 1
-    return mu[s - 1] - nu[p - 1] + p - s, -1 if (p - s) % 2 else 1, tuple(bumped)
-
-
 class TunnelHook(NamedTuple):
     """The boundary cells in rows start_row..p for a tunnel cell (p, q).
 
@@ -162,16 +153,6 @@ class TunnelHook(NamedTuple):
     nu: tuple[int, ...]
     bumped: tuple[int, ...]
 
-    @classmethod
-    def at(
-        cls, mu: tuple[int, ...], nu: tuple[int, ...], s: int, p: int
-    ) -> "TunnelHook":
-        """The hook from row s to row p of mu over nu, through `step`."""
-        delta, sign, bumped = step(mu, nu, s, p)
-        # tuple.__new__ skips the generated __new__; a hook checks nothing
-        return tuple.__new__(cls, (s, (p, nu[p - 1] + 1), sign, delta, nu,
-                                   bumped))
-
     @property
     def eta(self) -> tuple[int, ...]:
         return tuple(b - n for b, n in zip(self.bumped, self.nu))
@@ -185,26 +166,46 @@ class TunnelHook(NamedTuple):
         )
 
 
+def step(mu: tuple[int, ...], nu: tuple[int, ...], s: int, p: int) -> TunnelHook:
+    """The tunnel hook from row s to row p of mu over nu."""
+    bumped = list(nu)
+    bumped[s - 1] += max(1, abs(mu[s - 1] - nu[s - 1]))
+    for r in range(s + 1, p + 1):
+        bumped[r - 1] = nu[r - 2] + 1
+    sign = -1 if (p - s) % 2 else 1
+    # tuple.__new__ skips the generated __new__; a hook checks nothing
+    return tuple.__new__(TunnelHook, (s, (p, nu[p - 1] + 1), sign,
+                                      mu[s - 1] - nu[p - 1] + p - s, nu, tuple(bumped)))
+
+
+def _hook_to_cell(mu: tuple[int, ...], nu: tuple[int, ...], s: int,
+                  tau: Cell) -> TunnelHook:
+    """The hook from row s that `step` builds for tau's row, if it ends at tau."""
+    p = tau[0] if isinstance(tau, tuple) and tau else None
+    if type(p) is int and s <= p <= len(mu):
+        hook = step(mu, nu, s, p)
+        if hook.terminal == tau:
+            return hook
+    raise ValueError(f"{tau} is not a tunnel cell of the diagram")
+
+
 def make_tunnel_hook(diagram: GbprDiagram, tau: Cell) -> TunnelHook:
-    if tau not in diagram.tunnel_cells():
-        raise ValueError(f"{tau} is not a tunnel cell of the diagram")
-    return TunnelHook.at(diagram.mu, diagram.nu, diagram.start_row, tau[0])
+    """The hook from the diagram's start row to its tunnel cell tau."""
+    return _hook_to_cell(diagram.mu, diagram.nu, diagram.start_row, tau)
 
 
 def apply_hook(diagram: GbprDiagram, hook: TunnelHook) -> GbprDiagram:
     """Absorb the hook: its bumped inner shape becomes nu, offset advances.
 
-    The hook must be the one `TunnelHook.at` builds on this diagram for
-    its terminal row p, with p an active row; any other hook, such as one
+    The hook must be the one `step` builds on this diagram for its
+    terminal row p, with p an active row; any other hook, such as one
     built on another mu or nu, raises ValueError. Rows are rebuilt from
     (mu, bumped); covered purple and red cells turn into the grey/red
     bookkeeping of the next diagram automatically.
     """
     s = diagram.start_row
     p = hook.terminal[0]
-    if not s <= p <= diagram.k or hook != TunnelHook.at(
-        diagram.mu, diagram.nu, s, p
-    ):
+    if not s <= p <= diagram.k or hook != step(diagram.mu, diagram.nu, s, p):
         raise ValueError(
             f"hook to terminal {hook.terminal} was not built on the diagram "
             f"{diagram.mu} over {diagram.nu} at row {s}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .compositions import compositions_of, permutation_sign
+from .compositions import brief, compositions_of, permutation_sign
 from .coverings import DEFAULT_MAX_K, _check_bound, _sign, _walk
 from .diagram import build_diagram, pad_pair
 from .expr import BasisExpr
@@ -126,7 +126,7 @@ def monomial_to_dual_immaculate(
     """
     alpha = tuple(alpha)
     if any(a < 1 for a in alpha):
-        raise ValueError(f"alpha must be a strong composition: {alpha}")
+        raise ValueError(f"alpha must be a strong composition: {brief(alpha)}")
     n = sum(alpha)
     if max_k < 0:
         raise ValueError(f"max_k must be nonnegative, got {max_k}")

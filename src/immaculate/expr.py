@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional
 
+from .compositions import brief
+
 Index = tuple[int, ...]
 
 #: Recognized basis labels: noncommutative complete homogeneous (H),
@@ -43,14 +45,14 @@ class BasisExpr:
             for a in index:
                 if type(a) is not int or a < 1:
                     raise ValueError(
-                        f"index {index} is not a strong composition")
+                        f"index {brief(index)} is not a strong composition")
             if type(coeff) is not int:
                 raise ValueError(
-                    f"coefficient {coeff!r} of index {index} is not an int")
+                    f"coefficient {coeff!r} of index {brief(index)} is not an int")
             if basis == "h_sym" and any(
                 index[i] < index[i + 1] for i in range(len(index) - 1)
             ):
-                raise ValueError(f"h_sym index {index} is not a partition")
+                raise ValueError(f"h_sym index {brief(index)} is not a partition")
             if coeff:
                 clean[index] = coeff
         self.basis = basis
@@ -147,49 +149,29 @@ class BasisExpr:
             ],
         }
 
-    @staticmethod
-    def _join_signed(parts: list[tuple[str, str]]) -> str:
-        sign, first = parts[0]
-        out = first if sign == "+" else f"-{first}"
-        for sign, chunk in parts[1:]:
-            out += f" {sign} {chunk}"
-        return out
-
-    def to_text(self) -> str:
+    def _render(self, token: str, brackets: tuple[str, str], times: str) -> str:
+        """Signed terms in index order; times joins a magnitude other than 1."""
         if not self._terms:
             return "0"
-        token = _TEXT_TOKEN[self.basis]
-        parts = []
+        left, right = brackets
+        out = []
         for index, coeff in self.items():
             mag = abs(coeff)
             if not index:
                 chunk = str(mag)
             else:
-                body = f"{token}({','.join(map(str, index))})"
-                chunk = body if mag == 1 else f"{mag}*{body}"
-            parts.append(("-" if coeff < 0 else "+", chunk))
-        return self._join_signed(parts)
+                chunk = f"{token}{left}{','.join(map(str, index))}{right}"
+                if mag != 1:
+                    chunk = f"{mag}{times}{chunk}"
+            out.append(("- " if coeff < 0 else "+ ") + chunk)
+        text = " ".join(out)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
+
+    def to_text(self) -> str:
+        return self._render(_TEXT_TOKEN[self.basis], ("(", ")"), "*")
 
     def to_latex(self) -> str:
-        token = _LATEX_TOKEN[self.basis]
-        if not self._terms:
-            return "0"
-
-        def fmt(ix):
-            return "_{(" + ",".join(map(str, ix)) + ")}"
-
-        parts = []
-        for index, coeff in self.items():
-            body = "1" if not index else f"{token}{fmt(index)}"
-            mag = abs(coeff)
-            if not index:
-                lead = str(mag)
-            elif mag == 1:
-                lead = body
-            else:
-                lead = f"{mag}\\,{body}"
-            parts.append(("-" if coeff < 0 else "+", lead))
-        return self._join_signed(parts)
+        return self._render(_LATEX_TOKEN[self.basis], ("_{(", ")}"), "\\,")
 
     def __repr__(self) -> str:
         return f"BasisExpr({self.basis!r}, {dict(sorted(self._terms.items()))!r})"

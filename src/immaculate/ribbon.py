@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .compositions import coarsenings
+from .compositions import brief, coarsenings
 from .coverings import DEFAULT_MAX_K
 from .expansions import _fold_coverings
 from .expr import BasisExpr
@@ -68,7 +68,7 @@ def ribbon_product(alpha: Iterable[int], beta: Iterable[int]) -> BasisExpr:
     for factor in (alpha, beta):
         if any(a < 1 for a in factor):
             raise ValueError(
-                f"ribbon product factor {factor} is not a strong composition")
+                f"ribbon product factor {brief(factor)} is not a strong composition")
     joined = alpha + beta
     fused = alpha[:-1] + (alpha[-1] + beta[0],) + beta[1:]
     return BasisExpr.term("R", joined) + BasisExpr.term("R", fused)
@@ -85,7 +85,7 @@ def im2rib_class(alpha: Iterable[int]) -> Optional[int]:
     """
     alpha = tuple(alpha)
     if any(a < 1 for a in alpha):
-        raise ValueError(f"alpha must be a strong composition: {alpha}")
+        raise ValueError(f"alpha must be a strong composition: {brief(alpha)}")
     J = min(alpha[-1], len(alpha)) if alpha else 0
     fits = all(a >= l for l, a in enumerate(alpha[:J], start=1))
     return J if fits and all(a == J for a in alpha[J:]) else None
@@ -109,8 +109,8 @@ def immaculate_to_ribbon_direct(
     alpha = tuple(alpha)
     if im2rib_class(alpha) is None and not force:
         raise ValueError(
-            f"{alpha} is outside the proven class for the direct ribbon "
-            f"formula; use force to evaluate it anyway"
+            f"{brief(alpha)} is outside the proven class for the direct "
+            f"ribbon formula; use force to evaluate it anyway"
         )
     return BasisExpr("R", _fold_coverings(alpha, (0,) * len(alpha), max_k,
                                           least=1))

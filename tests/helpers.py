@@ -95,3 +95,55 @@ def straighten_by_swaps(mu, nu):
                 break
         else:
             return sign, mu, tuple(nu)
+
+
+_TEXT_TOKEN = {"H": "H", "R": "R", "M": "M", "dI": "dI", "h_sym": "h"}
+_LATEX_TOKEN = {"H": "H", "R": "R", "M": "M", "dI": "I^{*}", "h_sym": "h"}
+
+
+def _join_signed(parts):
+    sign, first = parts[0]
+    out = first if sign == "+" else f"-{first}"
+    for sign, chunk in parts[1:]:
+        out += f" {sign} {chunk}"
+    return out
+
+
+def text_by_terms(expr):
+    """`BasisExpr.to_text` as it was written before the one renderer."""
+    if not expr:
+        return "0"
+    token = _TEXT_TOKEN[expr.basis]
+    parts = []
+    for index, coeff in expr.items():
+        mag = abs(coeff)
+        if not index:
+            chunk = str(mag)
+        else:
+            body = f"{token}({','.join(map(str, index))})"
+            chunk = body if mag == 1 else f"{mag}*{body}"
+        parts.append(("-" if coeff < 0 else "+", chunk))
+    return _join_signed(parts)
+
+
+def latex_by_terms(expr):
+    """`BasisExpr.to_latex` as it was written before the one renderer."""
+    token = _LATEX_TOKEN[expr.basis]
+    if not expr:
+        return "0"
+
+    def fmt(ix):
+        return "_{(" + ",".join(map(str, ix)) + ")}"
+
+    parts = []
+    for index, coeff in expr.items():
+        body = "1" if not index else f"{token}{fmt(index)}"
+        mag = abs(coeff)
+        if not index:
+            lead = str(mag)
+        elif mag == 1:
+            lead = body
+        else:
+            lead = f"{mag}\\,{body}"
+        parts.append(("-" if coeff < 0 else "+", lead))
+    return _join_signed(parts)

@@ -358,6 +358,34 @@ def test_row_bound_refuses_a_long_shape_at_once(capsys, argv):
     assert f"shape has {_LONG} rows; enumeration is limited to 10" in err
 
 
+def _csv(parts):
+    return ",".join(map(str, parts))
+
+
+@pytest.mark.parametrize("argv, rule", [
+    (lambda n: ("expand", "immaculate", "--basis", "R",
+                "--shape", _csv([2] * (n - 1) + [1])),
+     "is outside the proven class for the direct ribbon formula; use force"),
+    (lambda n: ("thc", "list", "--shape", _csv([1] * n),
+                "--skew", _csv(range(n))),
+     "is not a partition (nonnegative, weakly decreasing)"),
+    (lambda n: ("thc", "render", "--shape", _csv([1] * n),
+                "--sigma", _csv([1] * n)),
+     "not a permutation of 1.."),
+    (lambda n: ("convert", "--from", "H", "--to", "R",
+                "--shape", _csv([0] * n)),
+     "is not a strong composition"),
+], ids=["ribbon-outside-class", "thc-list-skew", "render-sigma",
+        "convert-zeros"])
+def test_a_refusal_shows_a_long_input_briefly(capsys, argv, rule):
+    code, out, err = run(capsys, *argv(_LONG))
+    assert (code, out) == (1, "") and rule in err
+    assert f"... {_LONG} parts" in err and len(err.encode()) < 2048
+    # an input of ten parts is still shown whole
+    code, out, err = run(capsys, *argv(10))
+    assert (code, out) == (1, "") and rule in err and "parts" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "expand", "immaculate", "--shape", "a,b")[0] == 1

@@ -14,7 +14,7 @@ from immaculate.coverings import (
     enumerate_coverings,
     permutation_from_covering,
 )
-from immaculate.diagram import TunnelHook, build_diagram
+from immaculate.diagram import TunnelHook, build_diagram, step
 
 
 def test_enumerate_313():
@@ -124,7 +124,7 @@ def reference_walk(mu, nu, depth):
             yield hooks, deltas, sign, cells
             return
         for p in range(s, k + 1):
-            hook = TunnelHook.at(mu, nu_now, s, p)
+            hook = step(mu, nu_now, s, p)
             yield from walk(hook.bumped, s + 1, hooks + (hook,),
                             deltas + (mu[s - 1] - nu_now[p - 1] + p - s,),
                             sign * (-1) ** (p - s),

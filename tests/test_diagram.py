@@ -1,8 +1,12 @@
 import random
+import re
 
 import pytest
 
-from immaculate.coverings import covering_from_permutation
+from immaculate.coverings import (
+    covering_from_permutation,
+    covering_from_terminal_cells,
+)
 from immaculate.diagram import (
     GbprDiagram,
     apply_hook,
@@ -153,11 +157,12 @@ def test_step_matches_boundary_cells():
         _, b, c = d.counts(s)
         boundary = d.boundary_cells()
         for p, q in d.tunnel_cells():
-            delta, sign, bumped = step(d.mu, d.nu, s, p)
-            assert delta == (b - c) + (d.nu[s - 1] + 1 - q) + (p - s)
-            assert sign == (-1) ** (p - s)
+            hook = step(d.mu, d.nu, s, p)
+            assert hook[:2] == (s, (p, q)) and hook.nu == d.nu
+            assert hook.delta == (b - c) + (d.nu[s - 1] + 1 - q) + (p - s)
+            assert hook.sign == (-1) ** (p - s)
             covered = [row for row, _ in boundary if row <= p]
-            assert bumped == tuple(n + covered.count(i) for i, n in enumerate(d.nu, 1))
+            assert hook.bumped == tuple(n + covered.count(i) for i, n in enumerate(d.nu, 1))
 
 
 def test_hook_single_row():
@@ -170,6 +175,19 @@ def test_hook_rejects_non_tunnel_cell():
     d = build_diagram((3, 1, 3))
     with pytest.raises(ValueError):
         make_tunnel_hook(d, (1, 2))
+
+
+@pytest.mark.parametrize("tau", [
+    ("a", 1), (1.0, 1), (), (1,), (1, 1, 0), (0, 1), (4, 1), (2, 2),
+], ids=["text-row", "float-row", "empty", "one-entry", "three-entries",
+        "below-start-row", "above-k", "wrong-column"])
+def test_hook_and_replay_refuse_a_bad_cell_alike(tau):
+    # both read the one cell check: same error type, same message
+    message = f"^{re.escape(str(tau))} is not a tunnel cell of the diagram$"
+    with pytest.raises(ValueError, match=message):
+        make_tunnel_hook(build_diagram((3, 1, 3)), tau)
+    with pytest.raises(ValueError, match=message):
+        covering_from_terminal_cells((3, 1, 3), None, [tau, (2, 1), (3, 1)])
 
 
 def test_delta_injective_per_diagram():

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from helpers import expr_from_json
-from immaculate.expr import BasisExpr
+from helpers import expr_from_json, latex_by_terms, text_by_terms
+from immaculate.expr import BASES, BasisExpr
 
 
 def test_add_cancellation():
@@ -118,3 +118,22 @@ def test_text_zero_and_unit():
 def test_latex_rendering():
     x = BasisExpr("R", {(2, 1): -1})
     assert x.to_latex() == "-R_{(2,1)}"
+
+
+def test_one_renderer_writes_what_text_and_latex_wrote():
+    rng = random.Random(24)
+    for basis in BASES:
+        cases = [BasisExpr.zero(basis), BasisExpr.unit(basis),
+                 -BasisExpr.unit(basis), BasisExpr(basis, {(): 7})]
+        for _ in range(300):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                index = [rng.randint(1, 12) for _ in range(rng.randint(0, 4))]
+                if basis == "h_sym":
+                    index.sort(reverse=True)
+                terms[tuple(index)] = rng.choice(
+                    [1, -1, rng.randint(-99, 99), 10**20, -(10**20) - 3])
+            cases.append(BasisExpr(basis, terms))
+        for expr in cases:
+            assert expr.to_text() == text_by_terms(expr)
+            assert expr.to_latex() == latex_by_terms(expr)
