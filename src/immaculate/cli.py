@@ -21,6 +21,7 @@ from typing import Optional
 from .compositions import brief, is_partition
 from .coverings import (
     DEFAULT_MAX_K,
+    _check_bound,
     covering_from_permutation,
     enumerate_coverings,
 )
@@ -305,6 +306,8 @@ def _cmd_thc_render(args) -> int:
             return USAGE_ERROR
         overlay = list(covering_from_permutation(args.shape, args.sigma,
                                                  max_k=args.max_k).hooks)
+    else:
+        _check_bound(diagram.k, args.max_k)
     fmt = "latex" if args.format == "latex" else "ascii"
     print(render(diagram, overlay, fmt))
     return 0

@@ -9,7 +9,7 @@ of {1..k} via sigma_i = p_i - q_i + 1 on terminal cells (p_i, q_i).
 
 from __future__ import annotations
 
-from math import inf, prod
+from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .compositions import brief
@@ -74,9 +74,7 @@ def _check_bound(k: int, max_k: int) -> None:
         )
 
 
-def _walk(
-    start: GbprDiagram, depth: int, least: float = -inf
-) -> Iterator[tuple[TunnelHook, ...]]:
+def _walk(start: GbprDiagram, depth: int) -> Iterator[tuple[TunnelHook, ...]]:
     """The hooks of each covering of the bottom depth rows.
 
     Depth-first, tunnel cells taken bottom-up. The hooks leaving a state
@@ -84,13 +82,6 @@ def _walk(
     table, which lives only as long as this walk: about e * k! nodes share
     a few hundred states at k = 7. The hooks of row depth are yielded in
     place, not pushed as nodes of their own.
-
-    A hook whose delta is below the kill floor `least` is left out, and so
-    is every covering through it. delta = mu_s - nu_p + p - s grows with
-    the terminal row p, as nu_now is weakly decreasing on the active rows,
-    so the terminals are built from the top down and the first one below
-    the floor ends the row: every lower terminal is below it too. The
-    default floor passes every hook.
     """
     if depth == 0:
         yield ()
@@ -107,17 +98,13 @@ def _walk(
         table = moves[s]
         out = table.get(nu_now)
         if out is None:
-            out = table[nu_now] = []
-            for p in range(k, s - 1, -1):
-                hook = step(mu, nu_now, s, p)
-                if hook.delta < least:
-                    break
-                out.append(hook)
+            out = table[nu_now] = [step(mu, nu_now, s, p)
+                                   for p in range(s, k + 1)]
         if s == depth:
-            for hook in reversed(out):
+            for hook in out:
                 yield hooks + (hook,)
             continue
-        for hook in out:
+        for hook in reversed(out):
             todo.append((hook.bumped, s + 1, hooks + (hook,)))
 
 
@@ -154,7 +141,7 @@ def covering_from_terminal_cells(
     nu_now = start.nu
     hooks = []
     for s, tau in enumerate(cells, start=1):
-        hook = _hook_to_cell(start.mu, nu_now, s, tuple(tau))
+        hook = _hook_to_cell(start.mu, nu_now, s, tau)
         hooks.append(hook)
         nu_now = hook.bumped
     return TunnelHookCovering(start.mu, start.nu, tuple(hooks))

@@ -180,12 +180,19 @@ def step(mu: tuple[int, ...], nu: tuple[int, ...], s: int, p: int) -> TunnelHook
 
 def _hook_to_cell(mu: tuple[int, ...], nu: tuple[int, ...], s: int,
                   tau: Cell) -> TunnelHook:
-    """The hook from row s that `step` builds for tau's row, if it ends at tau."""
-    p = tau[0] if isinstance(tau, tuple) and tau else None
-    if type(p) is int and s <= p <= len(mu):
-        hook = step(mu, nu, s, p)
-        if hook.terminal == tau:
-            return hook
+    """The hook from row s that `step` builds for tau's row, if it ends at tau.
+
+    tau is a pair of ints, as a tuple or a list; anything else, or a cell
+    that is not the tunnel cell of its row, raises ValueError.
+    """
+    if isinstance(tau, (tuple, list)):
+        tau = tuple(tau)
+        # type(...) is int refuses bool and float, which == would let in
+        if (len(tau) == 2 and type(tau[0]) is int and type(tau[1]) is int
+                and s <= tau[0] <= len(mu)):
+            hook = step(mu, nu, s, tau[0])
+            if hook.terminal == tau:
+                return hook
     raise ValueError(f"{tau} is not a tunnel cell of the diagram")
 
 

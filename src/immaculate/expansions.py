@@ -3,9 +3,16 @@
 The central identity: the Schur-like basis element indexed by an integer
 sequence mu (skewed by nu) expands in the complete homogeneous basis as
 the signed sum, over all coverings, of H indexed by the covering's value
-sequence. A negative subscript kills every covering below its hook
-(H_a = 0 for a < 0): the covering walk never visits that subtree. A zero
-subscript is dropped (H_0 = 1) when a leaf's index is read.
+sequence. A negative subscript kills every covering through its hook
+(H_a = 0 for a < 0), and a zero subscript is dropped (H_0 = 1).
+
+The sum is folded over active tails, not coverings. The hooks from row s
+read and change only rows s..k of the inner shape, so every covering
+that reaches the same tail nu_now[s-1:] shares one signed sum of
+suffixes. Row s of a k-row shape reaches at most C(k, s - 1) tails, as
+many as the column sets that a row-by-row Laplace expansion of the
+Jacobi-Trudi determinant has used by then: at most 2^k - 1 states in
+all, where there are k! coverings.
 """
 
 from __future__ import annotations
@@ -14,32 +21,80 @@ from typing import Iterable, Optional
 
 from .compositions import brief, compositions_of, permutation_sign
 from .coverings import DEFAULT_MAX_K, _check_bound, _sign, _walk
-from .diagram import build_diagram, pad_pair
+from .diagram import GbprDiagram, build_diagram, pad_pair, step
 from .expr import BasisExpr
 
 IntSeq = tuple[int, ...]
+Move = tuple[IntSeq, int, IntSeq]
+
+
+def _tail_moves(start: GbprDiagram, least: int) -> list[dict[IntSeq, list[Move]]]:
+    """The moves out of each reachable active tail, one dict per row.
+
+    levels[s - 1] maps each tail nu_now[s - 1:] reachable at row s to one
+    (prefix, sign, next tail) per hook from row s: the prefix is (delta,),
+    or () when delta is 0. Rows below s are absorbed, so each hook is
+    built by `step` on the tail alone. delta = mu_s - nu_p + p - s grows
+    with the terminal row p, as the tail is weakly decreasing, so the
+    terminals are taken from the top down and the first hook with delta
+    below the kill floor `least` ends the row: every lower one is below
+    it too.
+    """
+    mu = start.mu
+    levels: list[dict[IntSeq, list[Move]]] = []
+    tails: dict[IntSeq, None] = {start.nu: None}
+    for s in range(start.k):
+        mu_tail = mu[s:]
+        level: dict[IntSeq, list[Move]] = {}
+        reached: dict[IntSeq, None] = {}
+        for tail in tails:
+            moves = level[tail] = []
+            for p in range(len(tail), 0, -1):
+                hook = step(mu_tail, tail, 1, p)
+                delta = hook.delta
+                if delta < least:
+                    break
+                after = hook.bumped[1:]
+                moves.append(((delta,) if delta else (), hook.sign, after))
+                reached[after] = None
+        levels.append(level)
+        tails = reached
+    return levels
 
 
 def _fold_coverings(
     mu: IntSeq, nu: IntSeq, max_k: int, least: int = 0
 ) -> dict[IntSeq, int]:
-    """Normalized index -> summed sign over all coverings of mu/nu.
+    """Normalized index -> nonzero summed sign over the coverings of mu/nu.
 
-    One loop over `coverings._walk` under the kill floor `least`: only
-    coverings whose subscripts are all at least `least` are visited, since
-    the walk ends a row at its first hook below the floor (the subscript
-    grows with the terminal row, so every lower terminal is below it too).
-    A zero subscript is dropped (H_0 = 1) when the leaf's index is read.
-    least = 0 gives the H expansion (H_a = 0 for a < 0); least = 1 gives
-    the direct ribbon formula, where a zero part kills too.
+    Only coverings whose subscripts are all at least the kill floor
+    `least` count: least = 0 gives the H expansion (H_a = 0 for a < 0),
+    and least = 1 the direct ribbon formula, where a zero part kills too.
+    A zero subscript is dropped (H_0 = 1).
+
+    Two passes over the active tails of `_tail_moves`: forward, the tails
+    each row reaches; backward, from row k up, each tail's signed dict of
+    suffix indices, built from the dicts of the tails below it. A level is
+    dropped as soon as the one above it is built, and cancelled indices
+    are dropped once, at the top.
     """
     start = build_diagram(mu, nu)
     _check_bound(start.k, max_k)
-    terms: dict[IntSeq, int] = {}
-    for hooks in _walk(start, start.k, least):
-        index = tuple([h.delta for h in hooks if h.delta])
-        terms[index] = terms.get(index, 0) + _sign(hooks)
-    return terms
+    levels = _tail_moves(start, least)
+    # every row absorbed: the empty tail and the empty suffix
+    below: dict[IntSeq, dict[IntSeq, int]] = {(): {(): 1}}
+    while levels:
+        suffixes: dict[IntSeq, dict[IntSeq, int]] = {}
+        for tail, moves in levels.pop().items():
+            terms: dict[IntSeq, int] = {}
+            get = terms.get
+            for prefix, sign, after in moves:
+                for index, coeff in below[after].items():
+                    index = prefix + index
+                    terms[index] = get(index, 0) + sign * coeff
+            suffixes[tail] = terms
+        below = suffixes
+    return {index: coeff for index, coeff in below[start.nu].items() if coeff}
 
 
 def immaculate_to_H(mu: Iterable[int], *, max_k: int = DEFAULT_MAX_K) -> BasisExpr:

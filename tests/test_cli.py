@@ -347,7 +347,8 @@ _LONG = 20000
      "--shape", ",".join(str(i) for i in range(1, _LONG + 1))),
     ("thc", "render", "--shape", ",".join(["1"] * _LONG),
      "--sigma", ",".join(str(i) for i in range(_LONG, 0, -1))),
-], ids=["skew", "ribbon-ascending", "render-sigma"])
+    ("thc", "render", "--shape", ",".join(["1"] * _LONG)),
+], ids=["skew", "ribbon-ascending", "render-sigma", "render"])
 def test_row_bound_refuses_a_long_shape_at_once(capsys, argv):
     # the bound comes before straightening, the class test and the
     # terminal cells could cost more than linear time in the rows

@@ -157,23 +157,6 @@ def test_walk_matches_reference_record_for_record():
         assert list(_walk(build_diagram(mu, nu), 0)) == [()]
 
 
-def test_kill_floor_keeps_the_coverings_above_it_in_order():
-    # the floor drops exactly the coverings with a subscript below it, and
-    # the walk keeps the order of the ones it yields
-    rng = random.Random(21)
-    for case in range(300):
-        k = rng.randint(0, 6)
-        mu = tuple(rng.randint(-3, 6) for _ in range(k))
-        nu = (0,) * k if case % 2 else tuple(
-            sorted((rng.randint(0, 4) for _ in range(k)), reverse=True))
-        start = build_diagram(mu, nu)
-        every = list(_walk(start, k))
-        for least in (0, 1):
-            assert list(_walk(start, k, least)) == [
-                hooks for hooks in every
-                if all(h.delta >= least for h in hooks)], (mu, nu, least)
-
-
 def test_interleaved_walks_keep_their_own_state():
     # two live walks on shapes with the same states (s, nu_now) but
     # different hooks, stepped in turn, each match their own reference

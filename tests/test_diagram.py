@@ -178,9 +178,11 @@ def test_hook_rejects_non_tunnel_cell():
 
 
 @pytest.mark.parametrize("tau", [
-    ("a", 1), (1.0, 1), (), (1,), (1, 1, 0), (0, 1), (4, 1), (2, 2),
-], ids=["text-row", "float-row", "empty", "one-entry", "three-entries",
-        "below-start-row", "above-k", "wrong-column"])
+    5, None, ("a", 1), (1.0, 1), (1, 1.0), (1, True), (), (1,), (1, 1, 0),
+    (0, 1), (4, 1), (2, 2),
+], ids=["int", "none", "text-row", "float-row", "float-column", "bool-column",
+        "empty", "one-entry", "three-entries", "below-start-row", "above-k",
+        "wrong-column"])
 def test_hook_and_replay_refuse_a_bad_cell_alike(tau):
     # both read the one cell check: same error type, same message
     message = f"^{re.escape(str(tau))} is not a tunnel cell of the diagram$"
@@ -188,6 +190,16 @@ def test_hook_and_replay_refuse_a_bad_cell_alike(tau):
         make_tunnel_hook(build_diagram((3, 1, 3)), tau)
     with pytest.raises(ValueError, match=message):
         covering_from_terminal_cells((3, 1, 3), None, [tau, (2, 1), (3, 1)])
+
+
+def test_a_list_cell_replays_and_builds_its_hook():
+    cells = [(1, 1), (2, 1), (3, 1)]
+    covering = covering_from_terminal_cells((3, 1, 3), None, cells)
+    assert covering_from_terminal_cells(
+        (3, 1, 3), None, [list(c) for c in cells]) == covering
+    assert make_tunnel_hook(build_diagram((3, 1, 3)), [1, 1]) == covering.hooks[0]
+    with pytest.raises(ValueError, match=r"^\(1, 2\) is not a tunnel cell"):
+        covering_from_terminal_cells((3, 1, 3), None, [[1, 2], [2, 1], [3, 1]])
 
 
 def test_delta_injective_per_diagram():

@@ -7,8 +7,10 @@ import pytest
 from helpers import normalize_h_index, straighten_by_swaps
 from immaculate.compositions import compositions_of
 from immaculate.coverings import covering_from_terminal_cells, enumerate_coverings
+from immaculate.diagram import build_diagram
 from immaculate.expansions import (
     _fold_coverings,
+    _tail_moves,
     forgetful_to_h,
     immaculate_to_H,
     monomial_to_dual_immaculate,
@@ -73,12 +75,13 @@ def test_skew_vanishing_inner_shape():
     assert not skew_immaculate_to_H((4, 4), (1, 2))
 
 
-def _unpruned_fold(mu, nu, max_k=10):
-    # every covering visited, each monomial normalized after the walk
+def _unpruned_fold(mu, nu, least):
+    # every covering visited, the ones with a subscript below the floor
+    # dropped and the rest normalized after the walk; cancelled indices kept
     terms = {}
-    for g in enumerate_coverings(mu, nu, max_k=max_k):
-        index = normalize_h_index(g.delta_seq)
-        if index is not None:
+    for g in enumerate_coverings(mu, nu):
+        if all(d >= least for d in g.delta_seq):
+            index = normalize_h_index(g.delta_seq)
             terms[index] = terms.get(index, 0) + g.total_sign
     return terms
 
@@ -89,15 +92,61 @@ def _random_partition(rng, k):
 
 
 def test_pruned_fold_matches_unpruned_walk():
+    # the fold sums inside each tail state, so an index that cancels there
+    # never reaches the result: (5, 4, 4, 5) over (4, 3, 1, 1) has the
+    # cancelled (1, 4, 4) and (1, 5, 3) in the walk and not in the fold.
+    # Equal to the walk's nonzero terms, so the fold returns no zero; at
+    # floor 1 only the coverings whose subscripts are all positive count.
     rng = random.Random(11)
-    cases = [((2, 5, 3, 1, 4, 2, 5, 3), ())]
+    cases = [((2, 5, 3, 1, 4, 2, 5, 3), ()), ((5, 4, 4, 5), (4, 3, 1, 1))]
     for _ in range(300):
         k = rng.randint(1, 7)
         mu = tuple(rng.randint(-3, 6) for _ in range(k))
         cases.append((mu, _random_partition(rng, k)))
     for mu, nu in cases:
-        # equal as dicts, so even the cancelled indices agree
-        assert _fold_coverings(mu, nu, 10) == _unpruned_fold(mu, nu), (mu, nu)
+        for least in (0, 1):
+            expected = {index: c for index, c
+                        in _unpruned_fold(mu, nu, least).items() if c}
+            assert _fold_coverings(mu, nu, 10, least) == expected, (mu, nu, least)
+
+
+def test_skew_fold_with_negative_parts_matches_the_determinant():
+    # mu and nu both with negative parts, so the inner shape is shifted
+    # and its columns sorted before the fold
+    rng = random.Random(12)
+    for _ in range(60):
+        k = rng.randint(3, 7)
+        mu = tuple(rng.randint(-3, 6) for _ in range(k))
+        nu = tuple(rng.randint(-3, 4) for _ in range(k))
+        assert dict(skew_immaculate_to_H(mu, nu).items()) == ndet_expand(
+            jacobi_trudi_matrix(mu, nu)), (mu, nu)
+
+
+def _tail_states(mu, nu=(), least=0):
+    return sum(len(level) for level in _tail_moves(build_diagram(mu, nu), least))
+
+
+def test_tail_states_stay_below_two_to_the_k():
+    # a fold that never shares a state would pass every output test; the
+    # number of tail states tells it apart
+    rng = random.Random(13)
+    for case in range(200):
+        k = rng.randint(1, 8)
+        mu = tuple(rng.randint(-3, 6) for _ in range(k))
+        nu = () if case % 2 else tuple(
+            sorted((rng.randint(0, 5) for _ in range(k)), reverse=True))
+        for least in (0, 1):
+            assert _tail_states(mu, nu, least) <= 2 ** k - 1, (mu, nu, least)
+
+
+@pytest.mark.parametrize("mu, states, terms", [
+    ((2, 5, 3, 1, 4, 2, 5, 3, 1), 511, 11760),
+    ((2, 5, 3, 1, 4, 2, 5, 3, 1, 4), 1023, 70698),
+    ((1,) * 12, 4095, 2048),
+])
+def test_tail_states_pinned(mu, states, terms):
+    assert _tail_states(mu) == states
+    assert len(_fold_coverings(mu, (), 12)) == terms
 
 
 def test_fold_validates_like_the_walk():
