@@ -15,17 +15,21 @@ Everything else in the quadrant is implicitly purple; purple cells are
 never stored (the purple region is infinite).
 
 A tunnel hook from the start row s to the tunnel cell (p, nu_p + 1) has
-a closed form; `step` builds every `TunnelHook` record from it. Because
-a_s = nu_s and a_s + b_s - c_s = mu_s, it needs no colour counts or scan:
+a closed form. Because a_s = nu_s and a_s + b_s - c_s = mu_s, it needs no
+colour counts or scan:
 
   delta     = mu_s - nu_p + (p - s)        (the H subscript it contributes)
   sign      = (-1)^(p - s)
   bumped_s  = nu_s + max(1, |mu_s - nu_s|)
   bumped_r  = nu_{r-1} + 1                 for s < r <= p
 
-and every other row of nu is unchanged. `boundary_cells` keeps the
-paper's cell-by-cell definition as the reference the rule is checked
-against.
+and every other row of nu is unchanged. Only rows s..p enter, so the rule
+is written once, in `tail_hook`, on the active tail nu_s, nu_{s+1}, ...:
+it gives delta, sign and the bumped rows above s. `step` builds the
+`TunnelHook` record from it by adding the terminal cell and bumped_s; the
+expansion fold calls `tail_hook` itself and builds no record.
+`boundary_cells` keeps the paper's cell-by-cell definition as the
+reference the rule is checked against.
 """
 
 from __future__ import annotations
@@ -166,16 +170,26 @@ class TunnelHook(NamedTuple):
         )
 
 
+def tail_hook(m: int, tail: tuple[int, ...],
+              j: int) -> tuple[int, int, tuple[int, ...]]:
+    """(delta, sign, rows left) of the hook from a tail's first row to its row j.
+
+    tail is the active inner shape from the start row up and m the start
+    row's outer length. The rows left are those above the start row once
+    the hook is absorbed: rows 2..j of the tail take the length of the row
+    below plus one, and the rows above j are unchanged.
+    """
+    return (m - tail[j - 1] + j - 1, 1 if j % 2 else -1,
+            tuple([t + 1 for t in tail[:j - 1]]) + tail[j:])
+
+
 def step(mu: tuple[int, ...], nu: tuple[int, ...], s: int, p: int) -> TunnelHook:
     """The tunnel hook from row s to row p of mu over nu."""
-    bumped = list(nu)
-    bumped[s - 1] += max(1, abs(mu[s - 1] - nu[s - 1]))
-    for r in range(s + 1, p + 1):
-        bumped[r - 1] = nu[r - 2] + 1
-    sign = -1 if (p - s) % 2 else 1
+    delta, sign, above = tail_hook(mu[s - 1], nu[s - 1:], p - s + 1)
+    # `abs(d) or 1` is max(1, |d|) for an int d, with one builtin call fewer
+    bumped = nu[:s - 1] + (nu[s - 1] + (abs(mu[s - 1] - nu[s - 1]) or 1),) + above
     # tuple.__new__ skips the generated __new__; a hook checks nothing
-    return tuple.__new__(TunnelHook, (s, (p, nu[p - 1] + 1), sign,
-                                      mu[s - 1] - nu[p - 1] + p - s, nu, tuple(bumped)))
+    return tuple.__new__(TunnelHook, (s, (p, nu[p - 1] + 1), sign, delta, nu, bumped))
 
 
 def _hook_to_cell(mu: tuple[int, ...], nu: tuple[int, ...], s: int,

@@ -12,7 +12,9 @@ that reaches the same tail nu_now[s-1:] shares one signed sum of
 suffixes. Row s of a k-row shape reaches at most C(k, s - 1) tails, as
 many as the column sets that a row-by-row Laplace expansion of the
 Jacobi-Trudi determinant has used by then: at most 2^k - 1 states in
-all, where there are k! coverings.
+all, where there are k! coverings. Each hook is read from the one closed
+form of the hook rule, `diagram.tail_hook`, so the fold builds no
+`TunnelHook` record.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Optional
 
 from .compositions import brief, compositions_of, permutation_sign
 from .coverings import DEFAULT_MAX_K, _check_bound, _sign, _walk
-from .diagram import GbprDiagram, build_diagram, pad_pair, step
+from .diagram import GbprDiagram, build_diagram, pad_pair, tail_hook
 from .expr import BasisExpr
 
 IntSeq = tuple[int, ...]
@@ -33,29 +35,25 @@ def _tail_moves(start: GbprDiagram, least: int) -> list[dict[IntSeq, list[Move]]
 
     levels[s - 1] maps each tail nu_now[s - 1:] reachable at row s to one
     (prefix, sign, next tail) per hook from row s: the prefix is (delta,),
-    or () when delta is 0. Rows below s are absorbed, so each hook is
-    built by `step` on the tail alone. delta = mu_s - nu_p + p - s grows
-    with the terminal row p, as the tail is weakly decreasing, so the
-    terminals are taken from the top down and the first hook with delta
-    below the kill floor `least` ends the row: every lower one is below
-    it too.
+    or () when delta is 0. Rows below s are absorbed, so each move is the
+    closed form `tail_hook` on the tail alone, and no `TunnelHook` record
+    is built. delta = mu_s - nu_p + p - s grows with the terminal row p,
+    as the tail is weakly decreasing, so the terminals are taken from the
+    top down and the first hook with delta below the kill floor `least`
+    ends the row: every lower one is below it too.
     """
-    mu = start.mu
     levels: list[dict[IntSeq, list[Move]]] = []
     tails: dict[IntSeq, None] = {start.nu: None}
-    for s in range(start.k):
-        mu_tail = mu[s:]
+    for m in start.mu:
         level: dict[IntSeq, list[Move]] = {}
         reached: dict[IntSeq, None] = {}
         for tail in tails:
             moves = level[tail] = []
-            for p in range(len(tail), 0, -1):
-                hook = step(mu_tail, tail, 1, p)
-                delta = hook.delta
+            for j in range(len(tail), 0, -1):
+                delta, sign, after = tail_hook(m, tail, j)
                 if delta < least:
                     break
-                after = hook.bumped[1:]
-                moves.append(((delta,) if delta else (), hook.sign, after))
+                moves.append(((delta,) if delta else (), sign, after))
                 reached[after] = None
         levels.append(level)
         tails = reached

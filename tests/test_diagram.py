@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -15,7 +16,9 @@ from immaculate.diagram import (
     render,
     row_counts,
     step,
+    tail_hook,
 )
+from immaculate.expansions import _fold_coverings
 
 # the running seven-row skew example, offset 2
 MU7 = (5, 4, -4, 3, -2, 5, 3)
@@ -163,6 +166,39 @@ def test_step_matches_boundary_cells():
             assert hook.sign == (-1) ** (p - s)
             covered = [row for row, _ in boundary if row <= p]
             assert hook.bumped == tuple(n + covered.count(i) for i, n in enumerate(d.nu, 1))
+
+
+def test_step_and_the_fold_read_one_rule():
+    # the fold reads the closed form on the active tail alone; step's
+    # record must hold the same delta, sign and rows above the start row
+    for d in random_diagrams(12, 300):
+        s = d.start_row
+        for p in range(s, d.k + 1):
+            hook = step(d.mu, d.nu, s, p)
+            assert tail_hook(d.mu[s - 1], d.nu[s - 1:], p - s + 1) == (
+                hook.delta, hook.sign, hook.bumped[s:]), (d, p)
+
+
+def test_fold_builds_no_hook_record(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    bound = []
+    for name, module in list(sys.modules.items()):
+        if name == "immaculate" or name.startswith("immaculate."):
+            for attr, value in list(vars(module).items()):
+                if value is step:
+                    monkeypatch.setattr(module, attr, counted)
+                    bound.append(f"{name}.{attr}")
+    assert "immaculate.diagram.step" in bound
+    assert len(_fold_coverings((2, 5, 3, 1, 4, 2, 5, 3, 1), (), 10)) == 11760
+    assert calls == []
+    # the wrapper does see the hooks that are built as records
+    make_tunnel_hook(build_diagram((3, 1, 3)), (2, 1))
+    assert len(calls) == 1
 
 
 def test_hook_single_row():

@@ -149,6 +149,19 @@ def test_tail_states_pinned(mu, states, terms):
     assert len(_fold_coverings(mu, (), 12)) == terms
 
 
+@pytest.mark.parametrize("mu, nu, moves", [
+    ((2, 5, 3, 1, 4, 2, 5, 3, 1), (), (1957, 1738)),
+    ((1,) * 8, (), (703, 576)),
+    ((2, 5, 3, 1, 4, 2, 5, 3, 1), (2, 1, 1), (1775, 1603)),
+])
+def test_tail_moves_pinned(mu, nu, moves):
+    # the hooks kept above the kill floor, at floors 0 and 1: a fold that
+    # keeps a hook below the floor, or drops one above it, changes them
+    for least, count in zip((0, 1), moves):
+        levels = _tail_moves(build_diagram(mu, nu), least)
+        assert sum(len(m) for level in levels for m in level.values()) == count
+
+
 def test_fold_validates_like_the_walk():
     with pytest.raises(ValueError, match=r"active rows of nu must be weakly "
                                          r"decreasing: \(1, 3, 0\)"):
