@@ -137,8 +137,10 @@ def skew_immaculate_to_H(
     sign, mu, nu = straighten_skew(mu, nu)
     if sign == 0:
         return BasisExpr.zero("H")
-    expr = BasisExpr("H", _fold_coverings(mu, nu, max_k))
-    return expr if sign > 0 else -expr
+    terms = _fold_coverings(mu, nu, max_k)
+    if sign < 0:
+        terms = {index: -coeff for index, coeff in terms.items()}
+    return BasisExpr("H", terms)
 
 
 def skew_prefix_decomposition(

@@ -25,15 +25,25 @@ _TEXT_TOKEN = {"H": "H", "R": "R", "M": "M", "dI": "dI", "h_sym": "h"}
 _LATEX_TOKEN = {"H": "H", "R": "R", "M": "M", "dI": "I^{*}", "h_sym": "h"}
 
 
+class _PartStrings(dict):
+    """Index part -> its decimal string, made on the first lookup."""
+
+    def __missing__(self, part: int) -> str:
+        text = self[part] = str(part)
+        return text
+
+
 class BasisExpr:
     """Immutable linear combination over one basis family.
 
     Terms with zero coefficient are never stored, and iteration is always
     in lexicographic index order, so equal expressions serialize
-    identically.
+    identically. Construction, ``==`` and ``hash`` do not sort: the first
+    read that needs index order sorts the terms once, for the life of the
+    expression.
     """
 
-    __slots__ = ("basis", "_terms")
+    __slots__ = ("basis", "_terms", "_ordered")
 
     def __init__(self, basis: str, terms: Optional[Mapping[Index, int]] = None):
         if basis not in BASES:
@@ -57,6 +67,7 @@ class BasisExpr:
                 clean[index] = coeff
         self.basis = basis
         self._terms = clean
+        self._ordered = False
 
     # -- constructors -------------------------------------------------
 
@@ -74,9 +85,22 @@ class BasisExpr:
 
     # -- inspection ---------------------------------------------------
 
+    def _sorted_terms(self) -> dict[Index, int]:
+        """The terms in index order, sorted on the first call only.
+
+        The sorted dict replaces the old one rather than reordering it, so
+        a reader still iterating the old dict is not disturbed. Indices are
+        unique, so sorting the keys alone gives the order.
+        """
+        if not self._ordered:
+            terms = self._terms
+            self._terms = {index: terms[index] for index in sorted(terms)}
+            self._ordered = True
+        return self._terms
+
     def items(self) -> Iterator[tuple[Index, int]]:
         """Terms in lexicographic index order."""
-        return iter(sorted(self._terms.items()))
+        return iter(self._sorted_terms().items())
 
     def coefficient(self, index: Iterable[int]) -> int:
         return self._terms.get(tuple(index), 0)
@@ -150,20 +174,26 @@ class BasisExpr:
         }
 
     def _render(self, token: str, brackets: tuple[str, str], times: str) -> str:
-        """Signed terms in index order; times joins a magnitude other than 1."""
-        if not self._terms:
+        """Signed terms in index order; times joins a magnitude other than 1.
+
+        Index parts repeat across terms and take few distinct values, so
+        each one's string is made once per call.
+        """
+        terms = self._sorted_terms()
+        if not terms:
             return "0"
         left, right = brackets
+        part = _PartStrings().__getitem__
         out = []
-        for index, coeff in self.items():
-            mag = abs(coeff)
+        for index, coeff in terms.items():
+            sign = "- " if coeff < 0 else "+ "
             if not index:
-                chunk = str(mag)
+                out.append(f"{sign}{abs(coeff)}")
+            elif coeff == 1 or coeff == -1:
+                out.append(f"{sign}{token}{left}{','.join(map(part, index))}{right}")
             else:
-                chunk = f"{token}{left}{','.join(map(str, index))}{right}"
-                if mag != 1:
-                    chunk = f"{mag}{times}{chunk}"
-            out.append(("- " if coeff < 0 else "+ ") + chunk)
+                out.append(f"{sign}{abs(coeff)}{times}{token}{left}"
+                           f"{','.join(map(part, index))}{right}")
         text = " ".join(out)
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
@@ -174,4 +204,4 @@ class BasisExpr:
         return self._render(_LATEX_TOKEN[self.basis], ("_{(", ")}"), "\\,")
 
     def __repr__(self) -> str:
-        return f"BasisExpr({self.basis!r}, {dict(sorted(self._terms.items()))!r})"
+        return f"BasisExpr({self.basis!r}, {self._sorted_terms()!r})"

@@ -110,12 +110,16 @@ def _join_signed(parts):
 
 
 def text_by_terms(expr):
-    """`BasisExpr.to_text` as it was written before the one renderer."""
+    """`BasisExpr.to_text` as it was written before the one renderer.
+
+    It sorts the terms itself, so the order `BasisExpr.items` gives is
+    checked, not relied on.
+    """
     if not expr:
         return "0"
     token = _TEXT_TOKEN[expr.basis]
     parts = []
-    for index, coeff in expr.items():
+    for index, coeff in sorted(expr.items()):
         mag = abs(coeff)
         if not index:
             chunk = str(mag)
@@ -127,7 +131,8 @@ def text_by_terms(expr):
 
 
 def latex_by_terms(expr):
-    """`BasisExpr.to_latex` as it was written before the one renderer."""
+    """`BasisExpr.to_latex` as it was written before the one renderer,
+    on terms it sorts itself."""
     token = _LATEX_TOKEN[expr.basis]
     if not expr:
         return "0"
@@ -136,7 +141,7 @@ def latex_by_terms(expr):
         return "_{(" + ",".join(map(str, ix)) + ")}"
 
     parts = []
-    for index, coeff in expr.items():
+    for index, coeff in sorted(expr.items()):
         body = "1" if not index else f"{token}{fmt(index)}"
         mag = abs(coeff)
         if not index:

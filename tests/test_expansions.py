@@ -64,6 +64,22 @@ def test_skew_expansion_example():
     })
 
 
+def test_a_negative_straightening_sign_builds_one_expression(monkeypatch):
+    # the sign goes on the folded terms, not on a second expression
+    built = []
+    init = BasisExpr.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BasisExpr, "__init__", counted)
+    assert straighten_skew((2, 5, 3), (1, 3, 0))[0] == -1
+    expr = skew_immaculate_to_H((2, 5, 3), (1, 3, 0))
+    assert len(built) == 1
+    assert expr.coefficient((1, 2, 3)) == 1 and expr.coefficient((3, 3)) == -1
+
+
 def test_skew_by_zero_is_straight():
     mu = (2, 3, 1)
     assert skew_immaculate_to_H(mu, (0, 0, 0)) == immaculate_to_H(mu)
@@ -120,6 +136,15 @@ def test_skew_fold_with_negative_parts_matches_the_determinant():
         nu = tuple(rng.randint(-3, 4) for _ in range(k))
         assert dict(skew_immaculate_to_H(mu, nu).items()) == ndet_expand(
             jacobi_trudi_matrix(mu, nu)), (mu, nu)
+
+
+def test_ten_row_fold_matches_the_determinant():
+    # a hook from the first row to the tenth (j = 10 in tail_hook) exists
+    # only from 10 rows up, which the oracle comparisons above never reach
+    mu = (2, 5, 3, 1, 4, 2, 5, 3, 1, 4)
+    expected = ndet_expand(jacobi_trudi_matrix(mu))
+    assert len(expected) == 70698
+    assert dict(immaculate_to_H(mu).items()) == expected
 
 
 def _tail_states(mu, nu=(), least=0):

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import random
+import re
 
 import pytest
 
 from helpers import expr_from_json, latex_by_terms, text_by_terms
+from immaculate.expansions import immaculate_to_H
 from immaculate.expr import BASES, BasisExpr
 
 
@@ -88,6 +91,19 @@ def test_rejects_coefficients_and_parts_that_are_not_ints(terms):
         BasisExpr("H", terms)
 
 
+@pytest.mark.parametrize("terms, bad", [
+    ({("a",): 1, (2,): 1}, ("a",)),
+    ({(2,): 1, ("a",): 1}, ("a",)),
+    ({(2, 1): 1, (1, True): -1}, (1, True)),
+    ({(1, True): 1, (1,): 3}, (1, True)),
+])
+def test_a_bad_index_is_named_even_among_keys_that_do_not_compare(terms, bad):
+    # the terms are validated before anything orders them: a sort of
+    # ("a",) against (2,) would raise TypeError instead
+    with pytest.raises(ValueError, match=re.escape(f"index {bad} ")):
+        BasisExpr("H", terms)
+
+
 def test_int_conversions_stay_exact():
     x = True * BasisExpr.term("H", (2,), 3)
     assert [type(c) for _, c in x.items()] == [int]
@@ -126,9 +142,13 @@ def test_one_renderer_writes_what_text_and_latex_wrote():
         cases = [BasisExpr.zero(basis), BasisExpr.unit(basis),
                  -BasisExpr.unit(basis), BasisExpr(basis, {(): 7})]
         for _ in range(300):
+            # a few part values, some of two digits or more, repeated
+            # within and across the terms of one expression
+            pool = [rng.randint(1, 12), rng.randint(1, 12),
+                    rng.randint(10, 999), 10**20]
             terms = {}
             for _ in range(rng.randint(1, 6)):
-                index = [rng.randint(1, 12) for _ in range(rng.randint(0, 4))]
+                index = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
                 if basis == "h_sym":
                     index.sort(reverse=True)
                 terms[tuple(index)] = rng.choice(
@@ -137,3 +157,43 @@ def test_one_renderer_writes_what_text_and_latex_wrote():
         for expr in cases:
             assert expr.to_text() == text_by_terms(expr)
             assert expr.to_latex() == latex_by_terms(expr)
+
+
+_FIRST_READS = {
+    "items": lambda expr: list(expr.items()),
+    "text": BasisExpr.to_text,
+    "latex": BasisExpr.to_latex,
+    "json": lambda expr: json.dumps(expr.to_json_dict()),
+    "repr": repr,
+}
+
+
+@pytest.mark.parametrize("first", _FIRST_READS)
+def test_every_read_is_in_index_order_whichever_comes_first(first):
+    terms = {(5, 2): 1, (12, 1): -1, (): 4, (3, 1, 3): -2, (3,): 1, (10,): 3}
+    expr = BasisExpr("H", terms)
+    _FIRST_READS[first](expr)
+    ordered = sorted(terms.items())
+    assert list(expr.items()) == ordered
+    assert expr.to_text() == text_by_terms(expr)
+    assert expr.to_latex() == latex_by_terms(expr)
+    assert expr.to_json_dict()["terms"] == [
+        {"coeff": c, "index": list(i)} for i, c in ordered]
+    assert repr(expr) == f"BasisExpr('H', {dict(ordered)!r})"
+    # an expression that has been read in order equals and hashes like
+    # one that has not
+    fresh = BasisExpr("H", terms)
+    assert expr == fresh and hash(expr) == hash(fresh)
+
+
+def test_an_11760_term_expansion_renders_as_pinned():
+    # sha256 of each format, taken from the renderer that sorted the terms
+    # on every read and called str on every index part
+    expr = immaculate_to_H((2, 5, 3, 1, 4, 2, 5, 3, 1))
+    digests = [hashlib.sha256(out.encode()).hexdigest() for out in (
+        expr.to_text(), expr.to_latex(), json.dumps(expr.to_json_dict()))]
+    assert digests == [
+        "d44a3d149ccd428f2dfc38b78232554cd328a18d630f934fe94a9d1e8f0bb272",
+        "ca02611814f78c5f32421646ddfd0e283556fdf75b987896df04841532c28333",
+        "ae5696025965e073e76f7c81ba952e0155793b6cb7983c6e9c6f60b33a3a6585",
+    ]
