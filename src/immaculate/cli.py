@@ -19,12 +19,7 @@ from functools import partial
 from typing import Optional
 
 from .compositions import brief, is_partition
-from .coverings import (
-    DEFAULT_MAX_K,
-    _check_bound,
-    covering_from_permutation,
-    enumerate_coverings,
-)
+from .coverings import _check_rows, covering_from_permutation, enumerate_coverings
 from .diagram import build_diagram, render
 from .expansions import (
     monomial_to_dual_immaculate,
@@ -97,17 +92,6 @@ def _emit(expr: BasisExpr, fmt: str, tag: Optional[str] = None) -> None:
     print(expr.to_latex() if fmt == "latex" else expr.to_text())
 
 
-def _parse_max_k(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        # the text argparse gives for a failed type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
-
-
 def _add_format(p, formats=FORMATS):
     p.add_argument("--format", choices=formats,
                    default=_default_format(formats))
@@ -118,7 +102,6 @@ def _add_common(p, skew=True, formats=FORMATS):
     if skew:
         p.add_argument("--skew", type=_parse_shape, default=None)
     _add_format(p, formats)
-    p.add_argument("--max-k", type=_parse_max_k, default=DEFAULT_MAX_K)
 
 
 def _build_expand_immaculate(p):
@@ -199,7 +182,7 @@ def _add_branches(parser, dest, table, argv) -> None:
 
 def _cmd_expand_immaculate(args) -> int:
     if args.basis == "H":
-        expr = skew_immaculate_to_H(args.shape, args.skew, max_k=args.max_k)
+        expr = skew_immaculate_to_H(args.shape, args.skew)
         _emit(expr, args.format)
         return 0
     from .ribbon import im2rib_class, immaculate_to_ribbon_direct
@@ -208,15 +191,14 @@ def _cmd_expand_immaculate(args) -> int:
         print("error: ribbon expansion is only available for straight shapes",
               file=sys.stderr)
         return USAGE_ERROR
-    expr = immaculate_to_ribbon_direct(args.shape, force=args.force,
-                                       max_k=args.max_k)
+    expr = immaculate_to_ribbon_direct(args.shape, force=args.force)
     outside = im2rib_class(args.shape) is None
     _emit(expr, args.format, tag="UNPROVEN-CLASS" if outside else None)
     return 0
 
 
 def _cmd_expand_monomial(args) -> int:
-    expr = monomial_to_dual_immaculate(args.shape, max_k=args.max_k)
+    expr = monomial_to_dual_immaculate(args.shape)
     _emit(expr, args.format)
     return 0
 
@@ -252,8 +234,7 @@ def _cmd_straighten(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    entries = skew_prefix_decomposition(args.shape, args.prefix,
-                                        max_k=args.max_k)
+    entries = skew_prefix_decomposition(args.shape, args.prefix)
     if args.format == "json":
         print(_dumps([
             {"sign": sign, "prefix": list(prefix),
@@ -283,8 +264,7 @@ def _check_inner_shape(args) -> None:
 
 def _cmd_thc_list(args) -> int:
     _check_inner_shape(args)
-    for covering in enumerate_coverings(args.shape, args.skew,
-                                        max_k=args.max_k):
+    for covering in enumerate_coverings(args.shape, args.skew):
         if args.format == "json":
             print(_dumps(covering.to_json_dict()))
         else:
@@ -304,10 +284,9 @@ def _cmd_thc_render(args) -> int:
             print("error: --sigma requires an empty inner shape",
                   file=sys.stderr)
             return USAGE_ERROR
-        overlay = list(covering_from_permutation(args.shape, args.sigma,
-                                                 max_k=args.max_k).hooks)
+        overlay = list(covering_from_permutation(args.shape, args.sigma).hooks)
     else:
-        _check_bound(diagram.k, args.max_k)
+        _check_rows(diagram.k)
     fmt = "latex" if args.format == "latex" else "ascii"
     print(render(diagram, overlay, fmt))
     return 0

@@ -16,7 +16,9 @@ from .compositions import brief
 from .diagram import (Cell, GbprDiagram, TunnelHook, _hook_to_cell,
                       build_diagram, step)
 
-DEFAULT_MAX_K = 10
+#: The most rows a shape may have on any path that walks or folds its
+#: coverings: a k-row shape has k! of them.
+MAX_ROWS = 10
 
 
 class TunnelHookCovering(NamedTuple):
@@ -64,14 +66,11 @@ def _sign(hooks: Iterable[TunnelHook]) -> int:
     return prod([h.sign for h in hooks])
 
 
-def _check_bound(k: int, max_k: int) -> None:
-    if max_k < 0:
-        raise ValueError(f"max_k must be nonnegative, got {max_k}")
-    if k > max_k:
+def _check_rows(k: int) -> None:
+    """Refuse a shape with more than MAX_ROWS rows, read when called."""
+    if k > MAX_ROWS:
         raise ValueError(
-            f"shape has {k} rows; enumeration is limited to {max_k} "
-            f"(raise max_k to override)"
-        )
+            f"shape has {k} rows; enumeration is limited to {MAX_ROWS}")
 
 
 def _walk(start: GbprDiagram, depth: int) -> Iterator[tuple[TunnelHook, ...]]:
@@ -109,14 +108,11 @@ def _walk(start: GbprDiagram, depth: int) -> Iterator[tuple[TunnelHook, ...]]:
 
 
 def enumerate_coverings(
-    mu: Iterable[int],
-    nu: Optional[Iterable[int]] = None,
-    *,
-    max_k: int = DEFAULT_MAX_K,
+    mu: Iterable[int], nu: Optional[Iterable[int]] = None
 ) -> Iterator[TunnelHookCovering]:
     """Depth-first stream of all k! coverings, tunnel cells taken bottom-up."""
     start = build_diagram(mu, nu)
-    _check_bound(start.k, max_k)
+    _check_rows(start.k)
     # tuple.__new__ skips the generated __new__: a covering checks nothing
     new = tuple.__new__
     mu, nu = start.mu, start.nu
@@ -125,16 +121,12 @@ def enumerate_coverings(
 
 
 def covering_from_terminal_cells(
-    mu: Iterable[int],
-    nu: Optional[Iterable[int]],
-    cells: Iterable[Cell],
-    *,
-    max_k: int = DEFAULT_MAX_K,
+    mu: Iterable[int], nu: Optional[Iterable[int]], cells: Iterable[Cell]
 ) -> TunnelHookCovering:
     """Replay a covering from its terminal-cell choices, bottom row first."""
     start = build_diagram(mu, nu)
     k = start.k
-    _check_bound(k, max_k)
+    _check_rows(k)
     cells = list(cells)
     if len(cells) != k:
         raise ValueError(f"need {k} terminal cells, got {len(cells)}")
@@ -148,7 +140,7 @@ def covering_from_terminal_cells(
 
 
 def covering_from_permutation(
-    mu: Iterable[int], sigma: Iterable[int], *, max_k: int = DEFAULT_MAX_K
+    mu: Iterable[int], sigma: Iterable[int]
 ) -> TunnelHookCovering:
     """Covering of the straight shape mu whose terminal cells realize sigma.
 
@@ -161,12 +153,12 @@ def covering_from_permutation(
         raise ValueError("sigma and mu must have equal length")
     if sorted(sigma) != list(range(1, len(mu) + 1)):
         raise ValueError(f"not a permutation of 1..{len(mu)}: {brief(sigma)}")
-    _check_bound(len(mu), max_k)
+    _check_rows(len(mu))
     cells = []
     for r, value in enumerate(sigma):
         m = sum(1 for earlier in sigma[:r] if earlier > value)
         cells.append((value + m, 1 + m))
-    return covering_from_terminal_cells(mu, None, cells, max_k=max_k)
+    return covering_from_terminal_cells(mu, None, cells)
 
 
 def permutation_from_covering(covering: TunnelHookCovering) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .compositions import brief, compositions_of, permutation_sign
-from .coverings import DEFAULT_MAX_K, _check_bound, _sign, _walk
+from .coverings import MAX_ROWS, _check_rows, _sign, _walk
 from .diagram import GbprDiagram, build_diagram, pad_pair, tail_hook
 from .expr import BasisExpr
 
@@ -61,7 +61,7 @@ def _tail_moves(start: GbprDiagram, least: int) -> list[dict[IntSeq, list[Move]]
 
 
 def _fold_coverings(
-    mu: IntSeq, nu: IntSeq, max_k: int, least: int = 0
+    mu: IntSeq, nu: IntSeq, *, least: int = 0
 ) -> dict[IntSeq, int]:
     """Normalized index -> nonzero summed sign over the coverings of mu/nu.
 
@@ -77,7 +77,7 @@ def _fold_coverings(
     are dropped once, at the top.
     """
     start = build_diagram(mu, nu)
-    _check_bound(start.k, max_k)
+    _check_rows(start.k)
     levels = _tail_moves(start, least)
     # every row absorbed: the empty tail and the empty suffix
     below: dict[IntSeq, dict[IntSeq, int]] = {(): {(): 1}}
@@ -95,10 +95,10 @@ def _fold_coverings(
     return {index: coeff for index, coeff in below[start.nu].items() if coeff}
 
 
-def immaculate_to_H(mu: Iterable[int], *, max_k: int = DEFAULT_MAX_K) -> BasisExpr:
+def immaculate_to_H(mu: Iterable[int]) -> BasisExpr:
     """H-expansion of the immaculate element indexed by the sequence mu."""
     mu = tuple(mu)
-    return BasisExpr("H", _fold_coverings(mu, (0,) * len(mu), max_k))
+    return BasisExpr("H", _fold_coverings(mu, (0,) * len(mu)))
 
 
 def straighten_skew(
@@ -125,10 +125,7 @@ def straighten_skew(
 
 
 def skew_immaculate_to_H(
-    mu: Iterable[int],
-    nu: Optional[Iterable[int]] = None,
-    *,
-    max_k: int = DEFAULT_MAX_K,
+    mu: Iterable[int], nu: Optional[Iterable[int]] = None
 ) -> BasisExpr:
     """H-expansion of the skew element mu/nu for arbitrary integer nu.
 
@@ -137,14 +134,14 @@ def skew_immaculate_to_H(
     sign, mu, nu = straighten_skew(mu, nu)
     if sign == 0:
         return BasisExpr.zero("H")
-    terms = _fold_coverings(mu, nu, max_k)
+    terms = _fold_coverings(mu, nu)
     if sign < 0:
         terms = {index: -coeff for index, coeff in terms.items()}
     return BasisExpr("H", terms)
 
 
 def skew_prefix_decomposition(
-    mu: Iterable[int], m: int, *, max_k: int = DEFAULT_MAX_K
+    mu: Iterable[int], m: int
 ) -> list[tuple[int, IntSeq, tuple[IntSeq, IntSeq]]]:
     """Split off the bottom m rows of the straight shape mu.
 
@@ -162,7 +159,7 @@ def skew_prefix_decomposition(
     if not 1 <= m <= k:
         raise ValueError(f"need 1 <= m <= {k}, got {m}")
     start = build_diagram(mu)
-    _check_bound(k, max_k)
+    _check_rows(k)
     return [
         (_sign(hooks), tuple([h.delta for h in hooks]),
          (mu[m:], hooks[-1].bumped[m:]))
@@ -170,25 +167,21 @@ def skew_prefix_decomposition(
     ]
 
 
-def monomial_to_dual_immaculate(
-    alpha: Iterable[int], *, max_k: int = DEFAULT_MAX_K
-) -> BasisExpr:
+def monomial_to_dual_immaculate(alpha: Iterable[int]) -> BasisExpr:
     """Expansion of a monomial quasisymmetric element into the dual basis.
 
     By duality the coefficient of dI_mu in M_alpha is the coefficient of
     H_alpha in the immaculate element at mu, so it is read off the covering
-    fold of every composition mu of |alpha|.
+    fold of every composition mu of |alpha|: |alpha| is held to MAX_ROWS.
     """
     alpha = tuple(alpha)
     if any(a < 1 for a in alpha):
         raise ValueError(f"alpha must be a strong composition: {brief(alpha)}")
     n = sum(alpha)
-    if max_k < 0:
-        raise ValueError(f"max_k must be nonnegative, got {max_k}")
-    if n > max_k:
-        raise ValueError(f"|alpha| = {n} exceeds the bound {max_k}")
+    if n > MAX_ROWS:
+        raise ValueError(f"|alpha| = {n} exceeds the bound {MAX_ROWS}")
     return BasisExpr("dI", {
-        mu: _fold_coverings(mu, (0,) * len(mu), max_k).get(alpha, 0)
+        mu: _fold_coverings(mu, (0,) * len(mu)).get(alpha, 0)
         for mu in compositions_of(n)
     })
 

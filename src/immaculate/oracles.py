@@ -21,6 +21,10 @@ from typing import Iterable, Iterator, Optional
 
 IntSeq = tuple[int, ...]
 
+#: The most rows `ndet_expand` takes, the same as the covering paths' bound
+#: but kept here, as this module imports nothing from the package.
+_MAX_ROWS = 10
+
 
 def _compositions(n: int) -> Iterator[IntSeq]:
     """Compositions of n in lexicographic order."""
@@ -50,22 +54,18 @@ def jacobi_trudi_matrix(
     )
 
 
-def ndet_expand(
-    matrix: tuple[IntSeq, ...], *, max_k: int = 10
-) -> dict[IntSeq, int]:
+def ndet_expand(matrix: tuple[IntSeq, ...]) -> dict[IntSeq, int]:
     """Row-ordered determinant by Laplace expansion over column subsets.
 
     H_a = 0 for a < 0 kills a monomial and H_0 = 1 drops out of it. The
     result maps each H index to its coefficient; cancelled terms are
     dropped.
     """
-    if max_k < 0:
-        raise ValueError(f"max_k must be nonnegative, got {max_k}")
     k = len(matrix)
     if any(len(row) != k for row in matrix):
         raise ValueError("matrix must be square")
-    if k > max_k:
-        raise ValueError(f"matrix has {k} rows; limit is {max_k}")
+    if k > _MAX_ROWS:
+        raise ValueError(f"matrix has {k} rows; limit is {_MAX_ROWS}")
     states: dict[int, dict[IntSeq, int]] = {0: {(): 1}}
     for row in matrix:
         entries = [(j, (a,) if a else ()) for j, a in enumerate(row) if a >= 0]
@@ -85,7 +85,7 @@ def ndet_expand(
 
 
 def commutative_jacobi_trudi(
-    lam: Iterable[int], nu: Optional[Iterable[int]] = None, *, max_k: int = 10
+    lam: Iterable[int], nu: Optional[Iterable[int]] = None
 ) -> dict[IntSeq, int]:
     """Determinant of h_(lam_i - i - (nu_j - j)) in commuting variables.
 
@@ -93,7 +93,7 @@ def commutative_jacobi_trudi(
     partition, coefficients summed, cancelled terms dropped.
     """
     terms: dict[IntSeq, int] = {}
-    for index, coeff in ndet_expand(jacobi_trudi_matrix(lam, nu), max_k=max_k).items():
+    for index, coeff in ndet_expand(jacobi_trudi_matrix(lam, nu)).items():
         key = tuple(sorted(index, reverse=True))
         terms[key] = terms.get(key, 0) + coeff
     return {index: coeff for index, coeff in terms.items() if coeff}

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .compositions import brief, coarsenings
-from .coverings import DEFAULT_MAX_K
 from .expansions import _fold_coverings
 from .expr import BasisExpr
 
@@ -92,7 +91,7 @@ def im2rib_class(alpha: Iterable[int]) -> Optional[int]:
 
 
 def immaculate_to_ribbon_direct(
-    alpha: Iterable[int], force: bool = False, *, max_k: int = DEFAULT_MAX_K
+    alpha: Iterable[int], force: bool = False
 ) -> BasisExpr:
     """Signed permutation sum of R indexed by (alpha_i - i + sigma_i).
 
@@ -103,8 +102,8 @@ def immaculate_to_ribbon_direct(
     The covering of alpha with permutation sigma has subscripts
     alpha_i - i + sigma_i and sign sign(sigma), so the sum is the covering
     fold with "a part <= 0 kills": it visits only the coverings whose
-    prefix parts are all positive. A part below 1, or more than max_k
-    parts, raises.
+    prefix parts are all positive. A part below 1, or more than
+    `coverings.MAX_ROWS` parts, raises.
     """
     alpha = tuple(alpha)
     if im2rib_class(alpha) is None and not force:
@@ -112,5 +111,4 @@ def immaculate_to_ribbon_direct(
             f"{brief(alpha)} is outside the proven class for the direct "
             f"ribbon formula; use force to evaluate it anyway"
         )
-    return BasisExpr("R", _fold_coverings(alpha, (0,) * len(alpha), max_k,
-                                          least=1))
+    return BasisExpr("R", _fold_coverings(alpha, (0,) * len(alpha), least=1))

@@ -259,19 +259,6 @@ def test_thc_render_overlay(capsys):
     assert "hook 1" in out and "delta 4" in out
 
 
-def test_thc_render_too_many_hooks(capsys):
-    # 35 overlay marks: the 35th hook is drawn, a 36th is an error
-    for k in (35, 36):
-        code, out, err = run(capsys, "thc", "render",
-                             "--shape", ",".join(["1"] * k),
-                             "--sigma", ",".join(map(str, range(1, k + 1))),
-                             "--max-k", str(k))
-        if k == 35:
-            assert code == 0 and "hook z:" in out
-        else:
-            assert code == 1 and out == "" and "marks" in err
-
-
 @pytest.mark.parametrize("sigma", [(), ("--sigma", "1,2")])
 def test_thc_render_too_wide(capsys, sigma):
     # a row two billion cells wide is refused before its row or its hook's
@@ -340,23 +327,33 @@ def test_straighten_vanishing_text(capsys):
 _LONG = 20000
 
 
-@pytest.mark.parametrize("argv", [
-    ("expand", "immaculate", "--shape", "1",
-     "--skew", ",".join(str(2 * j) for j in range(_LONG))),
-    ("expand", "immaculate", "--basis", "R",
-     "--shape", ",".join(str(i) for i in range(1, _LONG + 1))),
-    ("thc", "render", "--shape", ",".join(["1"] * _LONG),
-     "--sigma", ",".join(str(i) for i in range(_LONG, 0, -1))),
-    ("thc", "render", "--shape", ",".join(["1"] * _LONG)),
-], ids=["skew", "ribbon-ascending", "render-sigma", "render"])
-def test_row_bound_refuses_a_long_shape_at_once(capsys, argv):
+_ONES = ",".join(["1"] * _LONG)
+_TOO_MANY_ROWS = f"shape has {_LONG} rows; enumeration is limited to 10"
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (("expand", "immaculate", "--shape", "1",
+      "--skew", ",".join(str(2 * j) for j in range(_LONG))), _TOO_MANY_ROWS),
+    (("expand", "immaculate", "--basis", "R",
+      "--shape", ",".join(str(i) for i in range(1, _LONG + 1))), _TOO_MANY_ROWS),
+    (("thc", "render", "--shape", _ONES,
+      "--sigma", ",".join(str(i) for i in range(_LONG, 0, -1))), _TOO_MANY_ROWS),
+    (("thc", "render", "--shape", _ONES), _TOO_MANY_ROWS),
+    (("expand", "immaculate", "--shape", _ONES), _TOO_MANY_ROWS),
+    (("expand", "monomial", "--shape", _ONES),
+     f"|alpha| = {_LONG} exceeds the bound 10"),
+    (("decompose", "--prefix", "1", "--shape", _ONES), _TOO_MANY_ROWS),
+    (("thc", "list", "--shape", _ONES), _TOO_MANY_ROWS),
+], ids=["skew", "ribbon-ascending", "render-sigma", "render", "straight",
+        "monomial", "decompose", "list"])
+def test_row_bound_refuses_a_long_shape_at_once(capsys, argv, refusal):
     # the bound comes before straightening, the class test and the
     # terminal cells could cost more than linear time in the rows
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2
     assert (code, out) == (1, "")
-    assert f"shape has {_LONG} rows; enumeration is limited to 10" in err
+    assert err == f"error: {refusal}\n"
 
 
 def _csv(parts):
@@ -392,37 +389,18 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "expand", "immaculate", "--shape", "a,b")[0] == 1
 
 
-def test_bound_violation_is_usage_error(capsys):
-    code, _, err = run(capsys, "expand", "immaculate",
-                       "--shape", ",".join(["1"] * 11))
-    assert code == 1 and "rows" in err
-
-
 @pytest.mark.parametrize("basis", ["H", "R"])
-def test_max_k_bounds_both_bases(capsys, basis):
-    code, out, err = run(capsys, "expand", "immaculate", "--shape", "1,1,1,1,1",
-                         "--max-k", "3", "--basis", basis)
-    assert code == 1 and out == ""
-    assert "limited to 3" in err
+def test_bound_violation_is_usage_error(capsys, basis):
+    code, out, err = run(capsys, "expand", "immaculate", "--basis", basis,
+                         "--shape", ",".join(["1"] * 11))
+    assert (code, out) == (1, "")
+    assert err == "error: shape has 11 rows; enumeration is limited to 10\n"
 
 
 def test_decompose_of_no_rows_says_so(capsys):
     code, out, err = run(capsys, "decompose", "--prefix", "1", "--shape=")
     assert (code, out) == (1, "")
     assert err == "error: the shape has no rows to split\n"
-
-
-@pytest.mark.parametrize("value, message", [
-    ("-1", "must be nonnegative, got -1"),
-    ("-12", "must be nonnegative, got -12"),
-    ("x", "invalid int value: 'x'"),
-])
-def test_bad_max_k_is_refused_at_parse_time(capsys, value, message):
-    code, out, err = run(capsys, "thc", "list", "--shape", "3,1",
-                         "--max-k", value)
-    assert (code, out) == (1, "")
-    assert err.startswith("usage: immaculate thc list")
-    assert err.endswith(f"error: argument --max-k: {message}\n")
 
 
 #: Each command path with arguments that parse.

@@ -42,13 +42,6 @@ def test_enumerate_count_is_factorial():
         assert sum(1 for _ in enumerate_coverings(mu, nu)) == math.factorial(k)
 
 
-def test_enumerate_respects_bound():
-    with pytest.raises(ValueError):
-        next(enumerate_coverings((1,) * 11))
-    # explicit override lifts it
-    next(enumerate_coverings((1,) * 11, max_k=11))
-
-
 def test_replay_worked_covering():
     mu = (-3, 5, 5, 0, 5, -2, 4, 6)
     cells = ((5, 1), (2, 4), (4, 2), (5, 2), (5, 5), (8, 1), (8, 2), (8, 3))
@@ -188,8 +181,6 @@ def test_covering_from_permutation_checks_the_row_bound_after_sigma():
         covering_from_permutation((1,) * 11, (1,) * 11)
     with pytest.raises(ValueError, match="limited to 10"):
         covering_from_permutation((1,) * 11, range(11, 0, -1))
-    with pytest.raises(ValueError, match="limited to 2"):
-        covering_from_permutation((3, 1, 3), (2, 1, 3), max_k=2)
 
 
 def test_covering_from_permutation_delta():

@@ -194,7 +194,7 @@ def test_fold_builds_no_hook_record(monkeypatch):
                     monkeypatch.setattr(module, attr, counted)
                     bound.append(f"{name}.{attr}")
     assert "immaculate.diagram.step" in bound
-    assert len(_fold_coverings((2, 5, 3, 1, 4, 2, 5, 3, 1), (), 10)) == 11760
+    assert len(_fold_coverings((2, 5, 3, 1, 4, 2, 5, 3, 1), ())) == 11760
     assert calls == []
     # the wrapper does see the hooks that are built as records
     make_tunnel_hook(build_diagram((3, 1, 3)), (2, 1))
@@ -333,6 +333,21 @@ def test_render_width_bound():
         else:
             with pytest.raises(ValueError, match="1001 cells wide"):
                 render(build_diagram(mu), hooks)
+
+
+def test_render_too_many_hooks():
+    # 35 overlay marks: the 35th hook is drawn, a 36th is an error
+    for k in (35, 36):
+        d = start = build_diagram((1,) * k)
+        hooks = []
+        for row in range(1, k + 1):
+            hooks.append(make_tunnel_hook(d, (row, 1)))
+            d = apply_hook(d, hooks[-1])
+        if k == 35:
+            assert "hook z:" in render(start, hooks)
+        else:
+            with pytest.raises(ValueError, match="only 35 distinct marks"):
+                render(start, hooks)
 
 
 def test_render_latex_standalone():

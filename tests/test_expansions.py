@@ -6,7 +6,12 @@ import pytest
 
 from helpers import normalize_h_index, straighten_by_swaps
 from immaculate.compositions import compositions_of
-from immaculate.coverings import covering_from_terminal_cells, enumerate_coverings
+from immaculate import coverings
+from immaculate.coverings import (
+    covering_from_permutation,
+    covering_from_terminal_cells,
+    enumerate_coverings,
+)
 from immaculate.diagram import build_diagram
 from immaculate.expansions import (
     _fold_coverings,
@@ -20,11 +25,11 @@ from immaculate.expansions import (
 )
 from immaculate.expr import BasisExpr
 from immaculate.oracles import (
-    commutative_jacobi_trudi,
     determinant_rows,
     jacobi_trudi_matrix,
     ndet_expand,
 )
+from immaculate.ribbon import immaculate_to_ribbon_direct
 
 
 def H(terms):
@@ -123,7 +128,7 @@ def test_pruned_fold_matches_unpruned_walk():
         for least in (0, 1):
             expected = {index: c for index, c
                         in _unpruned_fold(mu, nu, least).items() if c}
-            assert _fold_coverings(mu, nu, 10, least) == expected, (mu, nu, least)
+            assert _fold_coverings(mu, nu, least=least) == expected, (mu, nu, least)
 
 
 def test_skew_fold_with_negative_parts_matches_the_determinant():
@@ -169,9 +174,10 @@ def test_tail_states_stay_below_two_to_the_k():
     ((2, 5, 3, 1, 4, 2, 5, 3, 1, 4), 1023, 70698),
     ((1,) * 12, 4095, 2048),
 ])
-def test_tail_states_pinned(mu, states, terms):
+def test_tail_states_pinned(monkeypatch, mu, states, terms):
+    monkeypatch.setattr(coverings, "MAX_ROWS", 12)
     assert _tail_states(mu) == states
-    assert len(_fold_coverings(mu, (), 12)) == terms
+    assert len(_fold_coverings(mu, ())) == terms
 
 
 @pytest.mark.parametrize("mu, nu, moves", [
@@ -190,10 +196,7 @@ def test_tail_moves_pinned(mu, nu, moves):
 def test_fold_validates_like_the_walk():
     with pytest.raises(ValueError, match=r"active rows of nu must be weakly "
                                          r"decreasing: \(1, 3, 0\)"):
-        _fold_coverings((2, 5, 3), (1, 3), 10)
-    with pytest.raises(ValueError, match=r"shape has 4 rows; enumeration is "
-                                         r"limited to 3 \(raise max_k to override\)"):
-        _fold_coverings((1, 2, 1, 2), (), 3)
+        _fold_coverings((2, 5, 3), (1, 3))
 
 
 def test_right_pieri_rule():
@@ -366,24 +369,31 @@ def test_prefix_validates_m_before_max_k():
     with pytest.raises(ValueError, match=r"shape has 11 rows; enumeration is "
                                          r"limited to 10"):
         skew_prefix_decomposition((1,) * 11, 2)
-    assert len(skew_prefix_decomposition((1,) * 11, 2, max_k=11)) == 110
 
 
-@pytest.mark.parametrize("call", [
-    lambda: next(enumerate_coverings((1,), max_k=-1)),
-    lambda: covering_from_terminal_cells((1,), None, [(1, 1)], max_k=-1),
-    lambda: skew_prefix_decomposition((1,), 1, max_k=-1),
-    lambda: immaculate_to_H((1,), max_k=-1),
-    lambda: monomial_to_dual_immaculate((1,), max_k=-1),
-    lambda: ndet_expand(((1,),), max_k=-1),
-    lambda: commutative_jacobi_trudi((1,), max_k=-1),
+_ROWS = r"^shape has 11 rows; enumeration is limited to 10$"
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda k: next(enumerate_coverings((1,) * k)), _ROWS),
+    (lambda k: covering_from_terminal_cells(
+        (1,) * k, None, [(i, 1) for i in range(1, k + 1)]), _ROWS),
+    (lambda k: covering_from_permutation((1,) * k, range(1, k + 1)), _ROWS),
+    (lambda k: immaculate_to_H((1,) * k), _ROWS),
+    (lambda k: skew_immaculate_to_H((2,) * k, (1,)), _ROWS),
+    (lambda k: skew_prefix_decomposition((1,) * k, 1), _ROWS),
+    (lambda k: monomial_to_dual_immaculate((k,)),
+     r"^\|alpha\| = 11 exceeds the bound 10$"),
+    (lambda k: immaculate_to_ribbon_direct((1,) * k), _ROWS),
 ], ids=["enumerate_coverings", "covering_from_terminal_cells",
-        "skew_prefix_decomposition", "fold", "monomial_to_dual_immaculate",
-        "ndet_expand", "commutative_jacobi_trudi"])
-def test_negative_max_k_is_refused(call):
-    # the library refuses what the CLI refuses at parse time
-    with pytest.raises(ValueError, match=r"^max_k must be nonnegative, got -1$"):
-        call()
+        "covering_from_permutation", "immaculate_to_H", "skew_immaculate_to_H",
+        "skew_prefix_decomposition", "monomial_to_dual_immaculate",
+        "immaculate_to_ribbon_direct"])
+def test_every_entry_point_holds_the_one_row_bound(call, refusal):
+    # |alpha| = 11 for monomial; 10 rows pass everywhere
+    with pytest.raises(ValueError, match=refusal):
+        call(11)
+    call(10)
 
 
 def test_monomial_212():

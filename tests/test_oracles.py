@@ -136,8 +136,7 @@ def test_oracles_reject_more_than_max_k_rows():
         ndet_expand(matrix)
     with pytest.raises(ValueError, match="^matrix has 11 rows; limit is 10$"):
         commutative_jacobi_trudi((1,) * 11)
-    with pytest.raises(ValueError, match="^matrix has 3 rows; limit is 2$"):
-        ndet_expand(jacobi_trudi_matrix((1, 2, 3)), max_k=2)
+    assert ndet_expand(jacobi_trudi_matrix((1,) * 10))
 
 
 def test_commutative_skew_example():

@@ -207,10 +207,3 @@ def test_direct_matches_permutation_sum():
     for alpha in shapes:
         assert immaculate_to_ribbon_direct(alpha, force=True) == (
             permutation_sum(alpha)), alpha
-
-
-def test_direct_respects_max_k():
-    with pytest.raises(ValueError, match="limited to 3"):
-        immaculate_to_ribbon_direct((1,) * 5, max_k=3)
-    with pytest.raises(ValueError, match="limited to 10"):
-        immaculate_to_ribbon_direct((1,) * 11)
