@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from immaculate import coverings
 from immaculate.cli import _attach_negative_shapes, build_parser, main
 
 
@@ -389,12 +390,21 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "expand", "immaculate", "--shape", "a,b")[0] == 1
 
 
-@pytest.mark.parametrize("basis", ["H", "R"])
-def test_bound_violation_is_usage_error(capsys, basis):
-    code, out, err = run(capsys, "expand", "immaculate", "--basis", basis,
+def test_bound_violation_is_usage_error(capsys):
+    code, out, err = run(capsys, "expand", "immaculate",
                          "--shape", ",".join(["1"] * 11))
     assert (code, out) == (1, "")
     assert err == "error: shape has 11 rows; enumeration is limited to 10\n"
+
+
+@pytest.mark.parametrize("basis", ["H", "R"])
+def test_max_k_bounds_both_bases(capsys, monkeypatch, basis):
+    # Both bases read the one row bound when called.
+    monkeypatch.setattr(coverings, "MAX_ROWS", 3)
+    code, out, err = run(capsys, "expand", "immaculate", "--shape", "1,1,1,1,1",
+                         "--basis", basis)
+    assert (code, out) == (1, "")
+    assert err == "error: shape has 5 rows; enumeration is limited to 3\n"
 
 
 def test_decompose_of_no_rows_says_so(capsys):
