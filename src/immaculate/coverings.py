@@ -5,16 +5,22 @@ up: hook r starts at the first active row of the diagram left after the
 previous r-1 hooks were absorbed. A shape with k rows has exactly k!
 coverings. When nu = 0 the coverings are in bijection with permutations
 of {1..k} via sigma_i = p_i - q_i + 1 on terminal cells (p_i, q_i).
+The walk here and the expansion fold read one move table, `_tail_moves`,
+keyed on the active tail; hook records are built only when read.
 """
 
 from __future__ import annotations
 
-from math import prod
+from itertools import islice
+from math import inf, prod
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .compositions import brief
 from .diagram import (Cell, GbprDiagram, TunnelHook, _hook_to_cell,
-                      build_diagram, step)
+                      build_diagram, tail_hook)
+
+IntSeq = tuple[int, ...]
+Move = tuple[IntSeq, int, IntSeq, int]
 
 #: The most rows a shape may have on any path that walks or folds its
 #: coverings: a k-row shape has k! of them.
@@ -22,27 +28,22 @@ MAX_ROWS = 10
 
 
 class TunnelHookCovering(NamedTuple):
-    """A covering of mu over nu0, stored as its hooks, bottom row first.
+    """A covering of mu over nu0 by its terminal cells, bottom row first.
 
-    The H-subscripts, the sign and, for a straight shape, the permutation
-    label are all read off the hooks.
+    The cells fix the covering; its H-subscripts and sign are stored with
+    them, and `hooks` rebuilds the hook records when read.
     """
 
-    mu: tuple[int, ...]
-    nu0: tuple[int, ...]
-    hooks: tuple[TunnelHook, ...]
+    mu: IntSeq
+    nu0: IntSeq
+    terminal_cells: tuple[Cell, ...]
+    delta_seq: IntSeq
+    total_sign: int
 
     @property
-    def delta_seq(self) -> tuple[int, ...]:
-        return tuple([h.delta for h in self.hooks])
-
-    @property
-    def total_sign(self) -> int:
-        return _sign(self.hooks)
-
-    @property
-    def terminal_cells(self) -> tuple[Cell, ...]:
-        return tuple([h.terminal for h in self.hooks])
+    def hooks(self) -> tuple[TunnelHook, ...]:
+        """The `TunnelHook` records, replayed through `step` on each read."""
+        return tuple(_replay(self.mu, self.nu0, self.terminal_cells))
 
     @property
     def sigma(self) -> Optional[tuple[int, ...]]:
@@ -61,9 +62,14 @@ class TunnelHookCovering(NamedTuple):
         }
 
 
-def _sign(hooks: Iterable[TunnelHook]) -> int:
-    """The product of the hook signs."""
-    return prod([h.sign for h in hooks])
+def _replay(mu: IntSeq, nu: IntSeq, cells: Iterable[Cell]) -> list[TunnelHook]:
+    """The hooks ending at cells, bottom row first, each checked and built
+    by `step` on the inner shape the ones before it leave."""
+    hooks = []
+    for s, tau in enumerate(cells, start=1):
+        hooks.append(_hook_to_cell(mu, nu, s, tau))
+        nu = hooks[-1].bumped
+    return hooks
 
 
 def _check_rows(k: int) -> None:
@@ -73,38 +79,66 @@ def _check_rows(k: int) -> None:
             f"shape has {k} rows; enumeration is limited to {MAX_ROWS}")
 
 
-def _walk(start: GbprDiagram, depth: int) -> Iterator[tuple[TunnelHook, ...]]:
-    """The hooks of each covering of the bottom depth rows.
+def _tail_moves(start: GbprDiagram,
+                least: float) -> Iterator[dict[IntSeq, list[Move]]]:
+    """The moves out of each reachable active tail, one dict per row, in
+    row order: row s's maps each tail nu_now[s - 1:] reached to one
+    (prefix, sign, next tail, j) per hook from row s to the tail's row j,
+    the prefix (delta,), or () when delta is 0. Each move is the closed
+    form `tail_hook` on the tail alone. delta = mu_s - nu_p + p - s grows
+    with the terminal row p, as the tail is weakly decreasing, so the
+    terminals are taken from the top down and the first hook with delta
+    below the kill floor `least` ends the row: every lower one is below it
+    too. The fold reads this table under its floor, the walk with none.
+    """
+    tails: dict[IntSeq, None] = {start.nu: None}
+    for m in start.mu:
+        level: dict[IntSeq, list[Move]] = {}
+        reached: dict[IntSeq, None] = {}
+        for tail in tails:
+            moves = level[tail] = []
+            for j in range(len(tail), 0, -1):
+                delta, sign, after = tail_hook(m, tail, j)
+                if delta < least:
+                    break
+                moves.append(((delta,) if delta else (), sign, after, j))
+                reached[after] = None
+        yield level
+        tails = reached
 
-    Depth-first, tunnel cells taken bottom-up. The hooks leaving a state
-    (s, nu_now) are built through `step` once and kept in row s's
-    table, which lives only as long as this walk: about e * k! nodes share
-    a few hundred states at k = 7. The hooks of row depth are yielded in
-    place, not pushed as nodes of their own.
+
+def _walk(start: GbprDiagram,
+          depth: int) -> Iterator[tuple[tuple[Cell, ...], IntSeq, int, IntSeq]]:
+    """(terminal cells, subscripts, sign, tail left) per covering of the
+    bottom depth rows, depth-first over `_tail_moves` with no floor.
+
+    The move from row s to the tail's row j ends at (s + j - 1, q), with
+    q = tail[j - 1] + 1, and its subscript is mu_s + j - q. Moves are
+    pushed top terminal first, so they pop in ascending terminal order;
+    those of row depth are yielded in place, not pushed.
     """
     if depth == 0:
-        yield ()
+        yield (), (), 1, start.nu
         return
-    k = start.k
+    levels = list(islice(_tail_moves(start, -inf), depth))
     mu = start.mu
-    moves: list[dict[tuple[int, ...], list[TunnelHook]]] = [
-        {} for _ in range(depth + 1)]
-    # (nu_now, s, hooks) per open node; children are pushed last terminal
-    # first, so they pop in ascending terminal order.
-    todo = [(start.nu, 1, ())]
+    last = depth - 1
+    # (row s - 1, tail, cells, subscripts, sign) per open node
+    todo = [(0, start.nu, (), (), 1)]
     while todo:
-        nu_now, s, hooks = todo.pop()
-        table = moves[s]
-        out = table.get(nu_now)
-        if out is None:
-            out = table[nu_now] = [step(mu, nu_now, s, p)
-                                   for p in range(s, k + 1)]
-        if s == depth:
-            for hook in out:
-                yield hooks + (hook,)
+        r, tail, cells, deltas, sign = todo.pop()
+        m = mu[r]
+        moves = levels[r][tail]
+        if r == last:
+            for _, hook_sign, after, j in reversed(moves):
+                q = tail[j - 1] + 1
+                yield (cells + ((r + j, q),), deltas + (m + j - q,),
+                       sign * hook_sign, after)
             continue
-        for hook in reversed(out):
-            todo.append((hook.bumped, s + 1, hooks + (hook,)))
+        for _, hook_sign, after, j in moves:
+            q = tail[j - 1] + 1
+            todo.append((r + 1, after, cells + ((r + j, q),),
+                         deltas + (m + j - q,), sign * hook_sign))
 
 
 def enumerate_coverings(
@@ -116,8 +150,8 @@ def enumerate_coverings(
     # tuple.__new__ skips the generated __new__: a covering checks nothing
     new = tuple.__new__
     mu, nu = start.mu, start.nu
-    for hooks in _walk(start, start.k):
-        yield new(TunnelHookCovering, (mu, nu, hooks))
+    for cells, deltas, sign, _ in _walk(start, start.k):
+        yield new(TunnelHookCovering, (mu, nu, cells, deltas, sign))
 
 
 def covering_from_terminal_cells(
@@ -130,13 +164,10 @@ def covering_from_terminal_cells(
     cells = list(cells)
     if len(cells) != k:
         raise ValueError(f"need {k} terminal cells, got {len(cells)}")
-    nu_now = start.nu
-    hooks = []
-    for s, tau in enumerate(cells, start=1):
-        hook = _hook_to_cell(start.mu, nu_now, s, tau)
-        hooks.append(hook)
-        nu_now = hook.bumped
-    return TunnelHookCovering(start.mu, start.nu, tuple(hooks))
+    hooks = _replay(start.mu, start.nu, cells)
+    return TunnelHookCovering(
+        start.mu, start.nu, tuple([h.terminal for h in hooks]),
+        tuple([h.delta for h in hooks]), prod([h.sign for h in hooks]))
 
 
 def covering_from_permutation(

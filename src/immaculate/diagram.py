@@ -26,8 +26,9 @@ colour counts or scan:
 and every other row of nu is unchanged. Only rows s..p enter, so the rule
 is written once, in `tail_hook`, on the active tail nu_s, nu_{s+1}, ...:
 it gives delta, sign and the bumped rows above s. `step` builds the
-`TunnelHook` record from it by adding the terminal cell and bumped_s; the
-expansion fold calls `tail_hook` itself and builds no record.
+`TunnelHook` record from it by adding the terminal cell and bumped_s;
+`coverings._tail_moves`, the one move table of the fold and the walk,
+calls it and builds no record.
 `boundary_cells` keeps the paper's cell-by-cell definition as the
 reference the rule is checked against.
 """

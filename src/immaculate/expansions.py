@@ -12,9 +12,10 @@ that reaches the same tail nu_now[s-1:] shares one signed sum of
 suffixes. Row s of a k-row shape reaches at most C(k, s - 1) tails, as
 many as the column sets that a row-by-row Laplace expansion of the
 Jacobi-Trudi determinant has used by then: at most 2^k - 1 states in
-all, where there are k! coverings. Each hook is read from the one closed
-form of the hook rule, `diagram.tail_hook`, so the fold builds no
-`TunnelHook` record.
+all, where there are k! coverings. The hooks are read from
+`coverings._tail_moves`, the one move table, which the covering walk
+reads too and which takes each hook from the closed form
+`diagram.tail_hook`, so the fold builds no `TunnelHook` record.
 """
 
 from __future__ import annotations
@@ -22,42 +23,9 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .compositions import brief, compositions_of, permutation_sign
-from .coverings import MAX_ROWS, _check_rows, _sign, _walk
-from .diagram import GbprDiagram, build_diagram, pad_pair, tail_hook
+from .coverings import IntSeq, MAX_ROWS, _check_rows, _tail_moves, _walk
+from .diagram import build_diagram, pad_pair
 from .expr import BasisExpr
-
-IntSeq = tuple[int, ...]
-Move = tuple[IntSeq, int, IntSeq]
-
-
-def _tail_moves(start: GbprDiagram, least: int) -> list[dict[IntSeq, list[Move]]]:
-    """The moves out of each reachable active tail, one dict per row.
-
-    levels[s - 1] maps each tail nu_now[s - 1:] reachable at row s to one
-    (prefix, sign, next tail) per hook from row s: the prefix is (delta,),
-    or () when delta is 0. Rows below s are absorbed, so each move is the
-    closed form `tail_hook` on the tail alone, and no `TunnelHook` record
-    is built. delta = mu_s - nu_p + p - s grows with the terminal row p,
-    as the tail is weakly decreasing, so the terminals are taken from the
-    top down and the first hook with delta below the kill floor `least`
-    ends the row: every lower one is below it too.
-    """
-    levels: list[dict[IntSeq, list[Move]]] = []
-    tails: dict[IntSeq, None] = {start.nu: None}
-    for m in start.mu:
-        level: dict[IntSeq, list[Move]] = {}
-        reached: dict[IntSeq, None] = {}
-        for tail in tails:
-            moves = level[tail] = []
-            for j in range(len(tail), 0, -1):
-                delta, sign, after = tail_hook(m, tail, j)
-                if delta < least:
-                    break
-                moves.append(((delta,) if delta else (), sign, after))
-                reached[after] = None
-        levels.append(level)
-        tails = reached
-    return levels
 
 
 def _fold_coverings(
@@ -78,7 +46,7 @@ def _fold_coverings(
     """
     start = build_diagram(mu, nu)
     _check_rows(start.k)
-    levels = _tail_moves(start, least)
+    levels = list(_tail_moves(start, least))
     # every row absorbed: the empty tail and the empty suffix
     below: dict[IntSeq, dict[IntSeq, int]] = {(): {(): 1}}
     while levels:
@@ -86,7 +54,7 @@ def _fold_coverings(
         for tail, moves in levels.pop().items():
             terms: dict[IntSeq, int] = {}
             get = terms.get
-            for prefix, sign, after in moves:
+            for prefix, sign, after, _ in moves:
                 for index, coeff in below[after].items():
                     index = prefix + index
                     terms[index] = get(index, 0) + sign * coeff
@@ -160,11 +128,8 @@ def skew_prefix_decomposition(
         raise ValueError(f"need 1 <= m <= {k}, got {m}")
     start = build_diagram(mu)
     _check_rows(k)
-    return [
-        (_sign(hooks), tuple([h.delta for h in hooks]),
-         (mu[m:], hooks[-1].bumped[m:]))
-        for hooks in _walk(start, m)
-    ]
+    return [(sign, deltas, (mu[m:], tail))
+            for _, deltas, sign, tail in _walk(start, m)]
 
 
 def monomial_to_dual_immaculate(alpha: Iterable[int]) -> BasisExpr:

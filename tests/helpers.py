@@ -2,6 +2,7 @@
 
 from itertools import permutations
 
+from immaculate.diagram import step
 from immaculate.expr import BasisExpr
 
 
@@ -15,6 +16,31 @@ def normalize_h_index(raw):
     if any(a < 0 for a in seq):
         return None
     return tuple(a for a in seq if a != 0)
+
+
+def reference_walk(mu, nu, depth):
+    """Per covering of the bottom depth rows of mu over nu, in the order of
+    ascending terminal rows: its hooks, built by `step`; its terminal
+    cells, subscripts and sign, from the closed forms; and the tail of the
+    inner shape it leaves above row depth. The recursion is on the whole
+    inner shape, apart from the move table the package walks; nu is
+    zero-padded to the length of mu."""
+    mu = tuple(mu)
+    k = len(mu)
+    nu = tuple(nu) + (0,) * (k - len(nu))
+
+    def walk(nu_now, s, hooks, cells, deltas, sign):
+        if s > depth:
+            yield hooks, cells, deltas, sign, nu_now[depth:]
+            return
+        for p in range(s, k + 1):
+            hook = step(mu, nu_now, s, p)
+            yield from walk(hook.bumped, s + 1, hooks + (hook,),
+                            cells + ((p, nu_now[p - 1] + 1),),
+                            deltas + (mu[s - 1] - nu_now[p - 1] + p - s,),
+                            sign * (-1) ** (p - s))
+
+    yield from walk(nu, 1, (), (), (), 1)
 
 
 def expr_from_json(data):

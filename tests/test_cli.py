@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -162,6 +164,52 @@ def test_thc_list(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert len(lines) == 6
     assert lines[0]["delta"] == [3, 1, 3] and lines[0]["sign"] == 1
+
+
+def _seeded_walk_shapes():
+    """(mu, nu, m) for k = 1..8: a straight shape, then a skew one up to
+    k = 7, each with a prefix length m for `decompose`."""
+    rng = random.Random(32)
+    shapes = []
+    for k in range(1, 9):
+        mu = tuple(rng.randint(-3, 6) for _ in range(k))
+        nu = tuple(sorted((rng.randint(0, 4) for _ in range(k)), reverse=True))
+        m = rng.randint(1, k)
+        shapes.append((mu, None, m))
+        if k < 8:
+            shapes.append((mu, nu, m))
+    return shapes
+
+
+@pytest.mark.parametrize("command, fmt, digest", [
+    ("list", "text",
+     "a2ab6c953b1d06878702ad60d9dfb9180ab1907395a539281b408f9012e72731"),
+    ("list", "json",
+     "8337ac5610074a32369fd4525360911df46a4e19854fd8109a4af23f84c844f7"),
+    ("decompose", "text",
+     "ee9d36e41b43d0f6e652a3a3d4b65712cbb83f7af162eb7c2345de48d8968e3f"),
+    ("decompose", "json",
+     "c82cf75b6e5247b9c6b8989d557498a9e03de250ee34e9c5e142c7615fa6122e"),
+], ids=["list-text", "list-json", "decompose-text", "decompose-json"])
+def test_walk_output_is_pinned(capsys, command, fmt, digest):
+    # sha256 of the whole stdout of `thc list` (straight and skew shapes)
+    # and `decompose` (straight shapes): the order, the fields and the
+    # bytes of every record the covering walk feeds them
+    h = hashlib.sha256()
+    for mu, nu, m in _seeded_walk_shapes():
+        shape = ["--shape", ",".join(map(str, mu)), "--format", fmt]
+        if command == "list":
+            argv = ["thc", "list", *shape]
+            if nu is not None:
+                argv += ["--skew", ",".join(map(str, nu))]
+        elif nu is None:
+            argv = ["decompose", "--prefix", str(m), *shape]
+        else:
+            continue
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        h.update(out.encode())
+    assert h.hexdigest() == digest
 
 
 def test_thc_list_pads_short_shape(capsys):

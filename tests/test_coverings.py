@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from helpers import reference_walk
 from immaculate.compositions import lehmer_code, permutation_sign
 from immaculate.coverings import (
     TunnelHookCovering,
@@ -14,7 +15,7 @@ from immaculate.coverings import (
     enumerate_coverings,
     permutation_from_covering,
 )
-from immaculate.diagram import TunnelHook, build_diagram, step
+from immaculate.diagram import TunnelHook, build_diagram
 
 
 def test_enumerate_313():
@@ -80,18 +81,22 @@ def walk(mu, nu, depth):
 
 
 def test_delta_stream_matches_full_enumeration():
-    # the walk at full depth yields the hooks of every covering, in order
+    # the walk at full depth yields the terminal cells, subscripts and sign
+    # of every covering, in order, each leaving the empty tail
     rng = random.Random(1)
     for _ in range(10):
         k = rng.randint(1, 5)
         mu = tuple(rng.randint(-3, 5) for _ in range(k))
         nu = tuple(sorted((rng.randint(0, 3) for _ in range(k)), reverse=True))
-        assert walk(mu, nu, k) == [g.hooks for g in enumerate_coverings(mu, nu)]
+        assert walk(mu, nu, k) == [
+            (g.terminal_cells, g.delta_seq, g.total_sign, ())
+            for g in enumerate_coverings(mu, nu)]
 
 
 def test_delta_stream_depth_cuts_every_covering():
     # the walk cut at depth d visits each distinct first-d-hook choice once,
-    # in covering order
+    # in covering order, with the cells, subscripts, sign and tail left of
+    # those d hooks as their `step` records give them
     rng = random.Random(2)
     for _ in range(10):
         k = rng.randint(1, 5)
@@ -101,29 +106,14 @@ def test_delta_stream_depth_cuts_every_covering():
         for d in range(k + 1):
             expected = []
             for g in coverings:
-                if g.hooks[:d] not in expected:
-                    expected.append(g.hooks[:d])
+                hooks = g.hooks[:d]
+                row = (g.terminal_cells[:d], g.delta_seq[:d],
+                       math.prod(h.sign for h in hooks),
+                       hooks[-1].bumped[d:] if d else nu)
+                if row not in expected:
+                    expected.append(row)
             assert walk(mu, nu, d) == expected
             assert len(expected) == math.factorial(k) // math.factorial(k - d)
-
-
-def reference_walk(mu, nu, depth):
-    """Per covering of the bottom depth rows: its hooks, and its subscripts,
-    sign and terminal cells from the closed forms, by recursion."""
-    k = len(mu)
-
-    def walk(nu_now, s, hooks, deltas, sign, cells):
-        if s > depth:
-            yield hooks, deltas, sign, cells
-            return
-        for p in range(s, k + 1):
-            hook = step(mu, nu_now, s, p)
-            yield from walk(hook.bumped, s + 1, hooks + (hook,),
-                            deltas + (mu[s - 1] - nu_now[p - 1] + p - s,),
-                            sign * (-1) ** (p - s),
-                            cells + ((p, nu_now[p - 1] + 1),))
-
-    yield from walk(nu, 1, (), (), 1, ())
 
 
 def test_walk_matches_reference_record_for_record():
@@ -135,31 +125,29 @@ def test_walk_matches_reference_record_for_record():
         reference = list(reference_walk(mu, nu, k))
         coverings = list(enumerate_coverings(mu, nu))
         assert len(coverings) == len(reference)
-        for g, (hooks, deltas, sign, cells) in zip(coverings, reference):
-            assert g == TunnelHookCovering(mu, nu, hooks)
+        for g, (hooks, cells, deltas, sign, _) in zip(coverings, reference):
+            assert g == TunnelHookCovering(mu, nu, cells, deltas, sign)
             assert type(g) is TunnelHookCovering
+            assert g.hooks == hooks
             assert all(type(h) is TunnelHook for h in g.hooks)
-            assert g.delta_seq == deltas
-            assert g.total_sign == sign
-            assert g.terminal_cells == cells
             assert g.sigma == (
                 None if any(nu) else tuple(p - q + 1 for p, q in cells))
-        for d in range(k):
+        # every depth, 0 and k included: cells, subscripts, sign and tail
+        for d in range(k + 1):
             assert walk(mu, nu, d) == [
-                hooks for hooks, _, _, _ in reference_walk(mu, nu, d)]
-        assert list(_walk(build_diagram(mu, nu), 0)) == [()]
+                row[1:] for row in reference_walk(mu, nu, d)]
 
 
 def test_interleaved_walks_keep_their_own_state():
-    # two live walks on shapes with the same states (s, nu_now) but
-    # different hooks, stepped in turn, each match their own reference
+    # two live walks on shapes with the same tails but different moves,
+    # stepped in turn, each match their own reference
     a, b, nu = (3, 1, 3, 0), (2, 2, 4, 1), (1, 1, 0, 0)
     got_a, got_b = [], []
     for x, y in zip(_walk(build_diagram(a, nu), 4), _walk(build_diagram(b, nu), 4)):
         got_a.append(x)
         got_b.append(y)
-    assert got_a == [hooks for hooks, _, _, _ in reference_walk(a, nu, 4)]
-    assert got_b == [hooks for hooks, _, _, _ in reference_walk(b, nu, 4)]
+    assert got_a == [row[1:] for row in reference_walk(a, nu, 4)]
+    assert got_b == [row[1:] for row in reference_walk(b, nu, 4)]
 
 
 def test_covering_from_permutation_example():
@@ -245,5 +233,8 @@ def test_json_shape():
     }
 
 
-def test_covering_stores_only_its_hooks():
-    assert TunnelHookCovering._fields == ("mu", "nu0", "hooks")
+def test_covering_stores_its_terminal_cells():
+    # the cells fix the covering, and its subscripts and sign are stored
+    # with them; the hook records are rebuilt when read, not stored
+    assert TunnelHookCovering._fields == (
+        "mu", "nu0", "terminal_cells", "delta_seq", "total_sign")

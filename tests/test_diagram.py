@@ -7,6 +7,7 @@ import pytest
 from immaculate.coverings import (
     covering_from_permutation,
     covering_from_terminal_cells,
+    enumerate_coverings,
 )
 from immaculate.diagram import (
     GbprDiagram,
@@ -18,7 +19,7 @@ from immaculate.diagram import (
     step,
     tail_hook,
 )
-from immaculate.expansions import _fold_coverings
+from immaculate.expansions import _fold_coverings, skew_prefix_decomposition
 
 # the running seven-row skew example, offset 2
 MU7 = (5, 4, -4, 3, -2, 5, 3)
@@ -84,7 +85,11 @@ def test_records_are_immutable_values():
         "TunnelHook(start_row=1, terminal=(2, 1), sign=-1, delta=4, "
         "nu=(0, 0, 0), bumped=(3, 1, 0))"
     )
-    assert repr(g).startswith("TunnelHookCovering(mu=(3, 1, 3), nu0=(0, 0, 0), hooks=(")
+    assert repr(g) == (
+        "TunnelHookCovering(mu=(3, 1, 3), nu0=(0, 0, 0), "
+        "terminal_cells=((2, 1), (2, 2), (3, 1)), delta_seq=(4, 0, 3), "
+        "total_sign=-1)"
+    )
     with pytest.raises(ValueError):
         GbprDiagram((2, 2), (1, 2))
     with pytest.raises(ValueError):
@@ -179,7 +184,10 @@ def test_step_and_the_fold_read_one_rule():
                 hook.delta, hook.sign, hook.bumped[s:]), (d, p)
 
 
-def test_fold_builds_no_hook_record(monkeypatch):
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The arguments of every `step` call, under each name the package
+    binds it to."""
     calls = []
 
     def counted(*args):
@@ -194,11 +202,33 @@ def test_fold_builds_no_hook_record(monkeypatch):
                     monkeypatch.setattr(module, attr, counted)
                     bound.append(f"{name}.{attr}")
     assert "immaculate.diagram.step" in bound
+    return calls
+
+
+def test_fold_builds_no_hook_record(step_calls):
     assert len(_fold_coverings((2, 5, 3, 1, 4, 2, 5, 3, 1), ())) == 11760
-    assert calls == []
+    assert step_calls == []
     # the wrapper does see the hooks that are built as records
     make_tunnel_hook(build_diagram((3, 1, 3)), (2, 1))
-    assert len(calls) == 1
+    assert len(step_calls) == 1
+
+
+def test_walk_builds_no_hook_record(step_calls):
+    # the covering walk reads the fold's move table with no floor, so
+    # listing the coverings and cutting the walk at m rows build no record
+    mu = (2, 5, 3, 1, 4, 2, 5)
+    assert sum(1 for _ in enumerate_coverings(mu, (3, 1, 1))) == 5040
+    assert len(skew_prefix_decomposition(mu, 4)) == 840
+    assert step_calls == []
+
+
+def test_reading_hooks_builds_one_record_per_row(step_calls):
+    g = list(enumerate_coverings((3, 1, 3, 0, 2), (2, 1)))[57]
+    assert step_calls == []
+    hooks = g.hooks
+    assert len(step_calls) == len(hooks) == 5
+    assert tuple(h.terminal for h in hooks) == g.terminal_cells
+    assert tuple(h.delta for h in hooks) == g.delta_seq
 
 
 def test_hook_single_row():

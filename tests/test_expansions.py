@@ -4,10 +4,11 @@ from itertools import permutations
 
 import pytest
 
-from helpers import normalize_h_index, straighten_by_swaps
+from helpers import normalize_h_index, reference_walk, straighten_by_swaps
 from immaculate.compositions import compositions_of
 from immaculate import coverings
 from immaculate.coverings import (
+    _tail_moves,
     covering_from_permutation,
     covering_from_terminal_cells,
     enumerate_coverings,
@@ -15,7 +16,6 @@ from immaculate.coverings import (
 from immaculate.diagram import build_diagram
 from immaculate.expansions import (
     _fold_coverings,
-    _tail_moves,
     forgetful_to_h,
     immaculate_to_H,
     monomial_to_dual_immaculate,
@@ -97,13 +97,14 @@ def test_skew_vanishing_inner_shape():
 
 
 def _unpruned_fold(mu, nu, least):
-    # every covering visited, the ones with a subscript below the floor
+    # every covering visited by the `step` recursion, apart from the move
+    # table the fold reads; the ones with a subscript below the floor
     # dropped and the rest normalized after the walk; cancelled indices kept
     terms = {}
-    for g in enumerate_coverings(mu, nu):
-        if all(d >= least for d in g.delta_seq):
-            index = normalize_h_index(g.delta_seq)
-            terms[index] = terms.get(index, 0) + g.total_sign
+    for _, _, deltas, sign, _ in reference_walk(mu, nu, len(mu)):
+        if all(d >= least for d in deltas):
+            index = normalize_h_index(deltas)
+            terms[index] = terms.get(index, 0) + sign
     return terms
 
 
