@@ -49,11 +49,13 @@ class _Parser(argparse.ArgumentParser):
 def _parse_shape(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
+    parts = text.split(",")
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in parts)
     except ValueError:
+        shown = ",".join(brief(tuple(parts)))
         raise argparse.ArgumentTypeError(
-            f"shape must be comma-separated integers, got {text!r}"
+            f"shape must be comma-separated integers, got {shown!r}"
         )
 
 

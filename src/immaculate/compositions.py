@@ -44,31 +44,20 @@ def brief(parts: tuple) -> tuple:
     return parts[:10] + (_Omitted(f"... {len(parts)} parts"),)
 
 
-def _coarsen(alpha: tuple[int, ...], subset: Iterable[int]) -> tuple[int, ...]:
-    """Merge adjacent parts of alpha across the gaps listed in subset.
-
-    Gap i (1-based) sits between alpha[i-1] and alpha[i]; including it in
-    the subset fuses those two parts into their sum.
-    """
-    subset = set(subset)
-    if not subset <= set(range(1, len(alpha))):
-        raise ValueError(f"subset {sorted(subset)} not within gaps of {alpha}")
-    out = []
-    acc = 0
-    for i, part in enumerate(alpha, start=1):
-        acc += part
-        if i == len(alpha) or i not in subset:
-            out.append(acc)
-            acc = 0
-    return tuple(out)
-
-
 def coarsenings(alpha: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
-    """Yield (coarsening, subset) over all 2^(len-1) gap subsets."""
+    """Yield (coarsening, subset) over all 2^(len-1) gap subsets.
+
+    Gap i (1-based) sits between alpha[i-1] and alpha[i]; a subset's gaps
+    are merged from the right, so each merge leaves the parts to its left
+    where they were.
+    """
     gaps = tuple(range(1, len(alpha)))
     for r in range(len(gaps) + 1):
         for subset in combinations(gaps, r):
-            yield _coarsen(alpha, subset), frozenset(subset)
+            parts = list(alpha)
+            for i in reversed(subset):
+                parts[i - 1] += parts.pop(i)
+            yield tuple(parts), frozenset(subset)
 
 
 def lehmer_code(sigma: tuple[int, ...]) -> tuple[int, ...]:

@@ -12,12 +12,12 @@ keyed on the active tail; hook records are built only when read.
 from __future__ import annotations
 
 from itertools import islice
-from math import inf, prod
+from math import inf
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .compositions import brief
 from .diagram import (Cell, GbprDiagram, TunnelHook, _hook_to_cell,
-                      build_diagram, tail_hook)
+                      _tunnel_j, build_diagram, tail_hook)
 
 IntSeq = tuple[int, ...]
 Move = tuple[IntSeq, int, IntSeq, int]
@@ -42,8 +42,13 @@ class TunnelHookCovering(NamedTuple):
 
     @property
     def hooks(self) -> tuple[TunnelHook, ...]:
-        """The `TunnelHook` records, replayed through `step` on each read."""
-        return tuple(_replay(self.mu, self.nu0, self.terminal_cells))
+        """The `TunnelHook` records, replayed through `step` on each read,
+        each on the inner shape the ones before it leave."""
+        nu, hooks = self.nu0, []
+        for s, tau in enumerate(self.terminal_cells, start=1):
+            hooks.append(_hook_to_cell(self.mu, nu, s, tau))
+            nu = hooks[-1].bumped
+        return tuple(hooks)
 
     @property
     def sigma(self) -> Optional[tuple[int, ...]]:
@@ -60,16 +65,6 @@ class TunnelHookCovering(NamedTuple):
             "sign": self.total_sign,
             "sigma": list(sigma) if sigma is not None else None,
         }
-
-
-def _replay(mu: IntSeq, nu: IntSeq, cells: Iterable[Cell]) -> list[TunnelHook]:
-    """The hooks ending at cells, bottom row first, each checked and built
-    by `step` on the inner shape the ones before it leave."""
-    hooks = []
-    for s, tau in enumerate(cells, start=1):
-        hooks.append(_hook_to_cell(mu, nu, s, tau))
-        nu = hooks[-1].bumped
-    return hooks
 
 
 def _check_rows(k: int) -> None:
@@ -112,33 +107,46 @@ def _walk(start: GbprDiagram,
     """(terminal cells, subscripts, sign, tail left) per covering of the
     bottom depth rows, depth-first over `_tail_moves` with no floor.
 
-    The move from row s to the tail's row j ends at (s + j - 1, q), with
-    q = tail[j - 1] + 1, and its subscript is mu_s + j - q. Moves are
-    pushed top terminal first, so they pop in ascending terminal order;
-    those of row depth are yielded in place, not pushed.
+    Each row's moves are first annotated, once per call: the move from
+    row s to the tail's row j ends at (s + j - 1, q), with q = tail[j - 1]
+    + 1, and its subscript is mu_s + j - q; both are kept as one-entry
+    tuples, so a push joins ready tuples. At full depth the top row's tail
+    has one row and so one move: each move of row k - 1 is joined to the
+    one move of the tail it reaches, and the walk stops a row early,
+    opening about 0.72 k! nodes for the k! coverings, not 1.72 k!. Moves
+    are pushed top terminal first, so they pop in ascending terminal
+    order; those of the last row walked are yielded in place, not pushed.
     """
     if depth == 0:
         yield (), (), 1, start.nu
         return
-    levels = list(islice(_tail_moves(start, -inf), depth))
     mu = start.mu
-    last = depth - 1
+    levels = [
+        {tail: [(((s + j, tail[j - 1] + 1),), (m + j - tail[j - 1] - 1,),
+                  sign, after) for _, sign, after, j in moves]
+         for tail, moves in level.items()}
+        for s, m, level in zip(range(depth), mu,
+                               islice(_tail_moves(start, -inf), depth))]
+    if depth == start.k >= 2:
+        top = levels.pop()
+        levels[-1] = {
+            tail: [(c + c2, d + d2, sign * sign2, ())
+                   for c, d, sign, after in moves
+                   for c2, d2, sign2, _ in top[after]]
+            for tail, moves in levels[-1].items()}
+    last = len(levels) - 1
     # (row s - 1, tail, cells, subscripts, sign) per open node
     todo = [(0, start.nu, (), (), 1)]
     while todo:
         r, tail, cells, deltas, sign = todo.pop()
-        m = mu[r]
         moves = levels[r][tail]
         if r == last:
-            for _, hook_sign, after, j in reversed(moves):
-                q = tail[j - 1] + 1
-                yield (cells + ((r + j, q),), deltas + (m + j - q,),
-                       sign * hook_sign, after)
+            for c, d, hook_sign, after in reversed(moves):
+                yield cells + c, deltas + d, sign * hook_sign, after
             continue
-        for _, hook_sign, after, j in moves:
-            q = tail[j - 1] + 1
-            todo.append((r + 1, after, cells + ((r + j, q),),
-                         deltas + (m + j - q,), sign * hook_sign))
+        r += 1
+        for c, d, hook_sign, after in moves:
+            todo.append((r, after, cells + c, deltas + d, sign * hook_sign))
 
 
 def enumerate_coverings(
@@ -157,17 +165,28 @@ def enumerate_coverings(
 def covering_from_terminal_cells(
     mu: Iterable[int], nu: Optional[Iterable[int]], cells: Iterable[Cell]
 ) -> TunnelHookCovering:
-    """Replay a covering from its terminal-cell choices, bottom row first."""
+    """Replay a covering from its terminal-cell choices, bottom row first.
+
+    Each cell is checked by `_tunnel_j` on the active tail and read by
+    `tail_hook`, row by row; no hook record is built.
+    """
     start = build_diagram(mu, nu)
     k = start.k
     _check_rows(k)
     cells = list(cells)
     if len(cells) != k:
         raise ValueError(f"need {k} terminal cells, got {len(cells)}")
-    hooks = _replay(start.mu, start.nu, cells)
-    return TunnelHookCovering(
-        start.mu, start.nu, tuple([h.terminal for h in hooks]),
-        tuple([h.delta for h in hooks]), prod([h.sign for h in hooks]))
+    mu = start.mu
+    tail = start.nu
+    terminals, deltas, sign = [], [], 1
+    for s, tau in enumerate(cells, start=1):
+        tau, j = _tunnel_j(tail, s, tau)
+        delta, hook_sign, tail = tail_hook(mu[s - 1], tail, j)
+        terminals.append(tau)
+        deltas.append(delta)
+        sign *= hook_sign
+    return TunnelHookCovering(mu, start.nu, tuple(terminals), tuple(deltas),
+                              sign)
 
 
 def covering_from_permutation(

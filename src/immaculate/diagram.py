@@ -28,7 +28,9 @@ is written once, in `tail_hook`, on the active tail nu_s, nu_{s+1}, ...:
 it gives delta, sign and the bumped rows above s. `step` builds the
 `TunnelHook` record from it by adding the terminal cell and bumped_s;
 `coverings._tail_moves`, the one move table of the fold and the walk,
-calls it and builds no record.
+and the covering replay call it and build no record. `_tunnel_j` is the
+one check that a cell is the tunnel cell of its row, shared by
+`make_tunnel_hook` and the replay.
 `boundary_cells` keeps the paper's cell-by-cell definition as the
 reference the rule is checked against.
 """
@@ -193,22 +195,30 @@ def step(mu: tuple[int, ...], nu: tuple[int, ...], s: int, p: int) -> TunnelHook
     return tuple.__new__(TunnelHook, (s, (p, nu[p - 1] + 1), sign, delta, nu, bumped))
 
 
-def _hook_to_cell(mu: tuple[int, ...], nu: tuple[int, ...], s: int,
-                  tau: Cell) -> TunnelHook:
-    """The hook from row s that `step` builds for tau's row, if it ends at tau.
+def _tunnel_j(tail: tuple[int, ...], s: int, tau: Cell) -> tuple[Cell, int]:
+    """(tau, j) when tau is the tunnel cell of row j of the tail from row s.
 
-    tau is a pair of ints, as a tuple or a list; anything else, or a cell
-    that is not the tunnel cell of its row, raises ValueError.
+    The one cell check of a hook's terminal, read by `make_tunnel_hook`
+    and the covering replay alike. tau is a pair of ints, as a tuple or a
+    list, and comes back as a tuple; anything else, or a cell that is not
+    the tunnel cell of its row, raises ValueError.
     """
     if isinstance(tau, (tuple, list)):
         tau = tuple(tau)
         # type(...) is int refuses bool and float, which == would let in
         if (len(tau) == 2 and type(tau[0]) is int and type(tau[1]) is int
-                and s <= tau[0] <= len(mu)):
-            hook = step(mu, nu, s, tau[0])
-            if hook.terminal == tau:
-                return hook
+                and 1 <= (j := tau[0] - s + 1) <= len(tail)
+                and tau[1] == tail[j - 1] + 1):
+            return tau, j
     raise ValueError(f"{tau} is not a tunnel cell of the diagram")
+
+
+def _hook_to_cell(mu: tuple[int, ...], nu: tuple[int, ...], s: int,
+                  tau: Cell) -> TunnelHook:
+    """The hook from row s that `step` builds for tau, once `_tunnel_j`
+    has checked that tau is a tunnel cell."""
+    _, j = _tunnel_j(nu[s - 1:], s, tau)
+    return step(mu, nu, s, s + j - 1)
 
 
 def make_tunnel_hook(diagram: GbprDiagram, tau: Cell) -> TunnelHook:

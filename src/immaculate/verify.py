@@ -13,6 +13,7 @@ import random
 from itertools import permutations, product
 
 from .compositions import (
+    brief,
     compositions_of,
     is_partition,
     lehmer_code,
@@ -435,8 +436,8 @@ def run_suite(names=None, *, seed=None, max_n=None) -> list[dict]:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}; known checks: "
-                         f"{', '.join(CHECKS)}")
+        raise ValueError(f"unknown checks: {list(brief(tuple(unknown)))}; "
+                         f"known checks: {', '.join(CHECKS)}")
     reports = []
     for name in names:
         kwargs = {}

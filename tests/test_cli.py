@@ -422,8 +422,12 @@ def _csv(parts):
     (lambda n: ("convert", "--from", "H", "--to", "R",
                 "--shape", _csv([0] * n)),
      "is not a strong composition"),
+    (lambda n: ("expand", "immaculate", "--shape", _csv([1] * (n - 1) + ["x"])),
+     "argument --shape: shape must be comma-separated integers"),
+    (lambda n: ("verify", "--suite", _csv(["nope"] * n)),
+     "unknown checks: ['nope', 'nope',"),
 ], ids=["ribbon-outside-class", "thc-list-skew", "render-sigma",
-        "convert-zeros"])
+        "convert-zeros", "shape-not-integers", "verify-unknown-checks"])
 def test_a_refusal_shows_a_long_input_briefly(capsys, argv, rule):
     code, out, err = run(capsys, *argv(_LONG))
     assert (code, out) == (1, "") and rule in err

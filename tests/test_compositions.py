@@ -1,10 +1,7 @@
 import random
-from itertools import permutations
-
-import pytest
+from itertools import combinations, permutations
 
 from immaculate.compositions import (
-    _coarsen,
     coarsenings,
     compositions_of,
     is_partition,
@@ -20,28 +17,42 @@ def test_compositions_count():
     assert list(compositions_of(0)) == [()]
 
 
+def coarsening(alpha, subset):
+    """The coarsening `coarsenings` pairs with the gap subset."""
+    return {frozenset(s): c for c, s in coarsenings(alpha)}[frozenset(subset)]
+
+
 def test_coarsen_example():
     alpha = (5, 2, 1, 4, 3, 3, 2, 6, 2, 3)
-    assert _coarsen(alpha, {2, 3, 5, 8}) == (5, 7, 6, 2, 8, 3)
+    assert coarsening(alpha, {2, 3, 5, 8}) == (5, 7, 6, 2, 8, 3)
 
 
 def test_coarsen_empty_set():
-    assert _coarsen((4, 1, 2), set()) == (4, 1, 2)
+    assert coarsening((4, 1, 2), set()) == (4, 1, 2)
+    assert list(coarsenings(())) == [((), frozenset())]
 
 
 def test_coarsen_full_merge():
-    assert _coarsen((1, 1), {1}) == (2,)
-
-
-def test_coarsen_out_of_range():
-    with pytest.raises(ValueError):
-        _coarsen((1, 2), {2})
+    assert coarsening((1, 1), {1}) == (2,)
+    assert coarsening((3, 1, 4, 1, 5), {1, 2, 3, 4}) == (14,)
 
 
 def test_coarsenings_small():
     assert {c for c, _ in coarsenings((1, 2))} == {(1, 2), (3,)}
     assert {c for c, _ in coarsenings((1, 1, 1))} == {(1, 1, 1), (2, 1), (1, 2), (3,)}
     assert {c for c, _ in coarsenings((5,))} == {(5,)}
+
+
+def test_coarsenings_merge_each_subset_in_subset_order():
+    # every gap subset once, by size and then in lexicographic order; each
+    # coarsening sums the runs of parts the subset's gaps join
+    alpha = (2, 7, 1, 8, 2, 8)
+    got = list(coarsenings(alpha))
+    assert [sorted(s) for _, s in got] == [
+        list(c) for r in range(6) for c in combinations(range(1, 6), r)]
+    for beta, subset in got:
+        cuts = [0] + [i for i in range(1, 6) if i not in subset] + [6]
+        assert beta == tuple(sum(alpha[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def test_coarsenings_count_and_distinct():

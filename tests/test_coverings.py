@@ -138,6 +138,16 @@ def test_walk_matches_reference_record_for_record():
                 row[1:] for row in reference_walk(mu, nu, d)]
 
 
+@pytest.mark.parametrize("mu, nu", [
+    ((2, 5, -1, 3, 0, 4, 1), ()),
+    ((3, -2, 4, 1, 5, 0, 2), (3, 2, 2, 1)),
+], ids=["straight", "skew"])
+def test_seven_row_walk_matches_reference_record_for_record(mu, nu):
+    # the full-depth walk joins each row-6 move to the one move of the top
+    # row; the random test above stops at 6 rows
+    assert walk(mu, nu, 7) == [row[1:] for row in reference_walk(mu, nu, 7)]
+
+
 def test_interleaved_walks_keep_their_own_state():
     # two live walks on shapes with the same tails but different moves,
     # stepped in turn, each match their own reference

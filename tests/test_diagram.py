@@ -231,6 +231,18 @@ def test_reading_hooks_builds_one_record_per_row(step_calls):
     assert tuple(h.delta for h in hooks) == g.delta_seq
 
 
+def test_replay_builds_no_hook_record(step_calls):
+    # a covering is replayed from its cells on the active tail by
+    # `tail_hook`; only reading its hooks builds the k records
+    g = covering_from_terminal_cells(
+        (-3, 5, 5, 0, 5, -2, 4, 6), (2, 1),
+        ((5, 1), (2, 4), (4, 2), (5, 2), (5, 5), (8, 1), (8, 2), (8, 3)))
+    h = covering_from_permutation((4, 7, 3, 1, 6, 2, 5), (4, 7, 3, 1, 6, 2, 5))
+    assert step_calls == []
+    assert len(g.hooks) == 8 and len(step_calls) == 8
+    assert len(h.hooks) == 7 and len(step_calls) == 15
+
+
 def test_hook_single_row():
     for m in (1, 4):
         hook = make_tunnel_hook(build_diagram((m,)), (1, 1))
