@@ -46,17 +46,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _clip(part: str) -> str:
+    """part, or past 20 characters its first 20 and its length."""
+    return part if len(part) <= 20 else f"{part[:20]}... {len(part)} characters"
+
+
 def _parse_shape(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated shape; a refusal names the first
+    part that is not one and its position, however long the input."""
     if not text.strip():
         return ()
     parts = text.split(",")
-    try:
-        return tuple(int(part) for part in parts)
-    except ValueError:
-        shown = ",".join(brief(tuple(parts)))
-        raise argparse.ArgumentTypeError(
-            f"shape must be comma-separated integers, got {shown!r}"
-        )
+    shape = []
+    for position, part in enumerate(parts, start=1):
+        try:
+            shape.append(int(part))
+        except ValueError:
+            shown = ",".join(brief(tuple(map(_clip, parts))))
+            raise argparse.ArgumentTypeError(
+                f"shape must be comma-separated integers, got {shown!r}; "
+                f"part {position} is {_clip(part)!r}"
+            )
+    return tuple(shape)
 
 
 def _attach_negative_shapes(argv: list[str]) -> list[str]:

@@ -66,7 +66,7 @@ def _fold_coverings(
 def immaculate_to_H(mu: Iterable[int]) -> BasisExpr:
     """H-expansion of the immaculate element indexed by the sequence mu."""
     mu = tuple(mu)
-    return BasisExpr("H", _fold_coverings(mu, (0,) * len(mu)))
+    return BasisExpr._of_clean("H", _fold_coverings(mu, (0,) * len(mu)))
 
 
 def straighten_skew(
@@ -105,7 +105,7 @@ def skew_immaculate_to_H(
     terms = _fold_coverings(mu, nu)
     if sign < 0:
         terms = {index: -coeff for index, coeff in terms.items()}
-    return BasisExpr("H", terms)
+    return BasisExpr._of_clean("H", terms)
 
 
 def skew_prefix_decomposition(

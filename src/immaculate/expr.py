@@ -72,6 +72,22 @@ class BasisExpr:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of_clean(cls, basis: str, terms: dict[Index, int]) -> "BasisExpr":
+        """An expression that takes terms as they are, checking nothing.
+
+        Only for a terms dict already in the form `__init__` stores: each
+        index a tuple of positive ints, each coefficient a nonzero int.
+        The covering fold builds its results so, and its callers wrap
+        them here instead of checking every index part again. The dict is
+        kept, not copied.
+        """
+        expr = object.__new__(cls)
+        expr.basis = basis
+        expr._terms = terms
+        expr._ordered = False
+        return expr
+
+    @classmethod
     def zero(cls, basis: str) -> "BasisExpr":
         return cls(basis)
 

@@ -47,10 +47,9 @@ def jacobi_trudi_matrix(
 ) -> tuple[IntSeq, ...]:
     """k x k grid of raw H-subscripts: (mu_i - i) - (nu_j - j), nu default 0."""
     mu, nu = _pad_pair(mu, nu)
-    k = len(mu)
+    cols = [part - j for j, part in enumerate(nu, start=1)]
     return tuple(
-        tuple((mu[i] - (i + 1)) - (nu[j] - (j + 1)) for j in range(k))
-        for i in range(k)
+        tuple([m - i - c for c in cols]) for i, m in enumerate(mu, start=1)
     )
 
 

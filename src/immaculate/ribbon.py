@@ -111,4 +111,5 @@ def immaculate_to_ribbon_direct(
             f"{brief(alpha)} is outside the proven class for the direct "
             f"ribbon formula; use force to evaluate it anyway"
         )
-    return BasisExpr("R", _fold_coverings(alpha, (0,) * len(alpha), least=1))
+    return BasisExpr._of_clean(
+        "R", _fold_coverings(alpha, (0,) * len(alpha), least=1))

@@ -197,16 +197,19 @@ def check_bijection(seed: int = 0) -> dict:
 
 def check_oracle(max_n: int = 7) -> dict:
     failures = []
-    for k in range(1, 5):
-        for mu in product(range(-2, 5), repeat=k):
-            if immaculate_to_H(mu) != _determinant(mu):
-                failures.append(f"oracle mismatch at {mu}")
-    for n in range(max_n + 1):
-        for mu in compositions_of(n):
-            if len(mu) > 5:
-                continue
-            if immaculate_to_H(mu) != _determinant(mu):
-                failures.append(f"oracle mismatch at {mu}")
+    # every box shape of up to 4 rows, then each composition of up to 5
+    # parts not among them, each once
+    shapes = dict.fromkeys(
+        mu for k in range(1, 5) for mu in product(range(-2, 5), repeat=k))
+    shapes.update(dict.fromkeys(
+        mu for n in range(max_n + 1) for mu in compositions_of(n)
+        if len(mu) <= 5))
+    # the production terms as a plain dict, like the oracle's: no second
+    # expression is built
+    for mu in shapes:
+        if dict(immaculate_to_H(mu).items()) != ndet_expand(
+                jacobi_trudi_matrix(mu)):
+            failures.append(f"oracle mismatch at {mu}")
     return _report("oracle", failures)
 
 
@@ -217,7 +220,8 @@ def check_skew_oracle(seed: int = 1) -> dict:
         k = rng.randint(1, 5)
         mu = tuple(rng.randint(-3, 5) for _ in range(k))
         nu = tuple(rng.randint(-3, 5) for _ in range(k))
-        if skew_immaculate_to_H(mu, nu) != _determinant(mu, nu):
+        if (dict(skew_immaculate_to_H(mu, nu).items())
+                != ndet_expand(jacobi_trudi_matrix(mu, nu))):
             failures.append(f"skew oracle mismatch at {mu}/{nu}")
     return _report("skew-oracle", failures)
 

@@ -426,15 +426,40 @@ def _csv(parts):
      "argument --shape: shape must be comma-separated integers"),
     (lambda n: ("verify", "--suite", _csv(["nope"] * n)),
      "unknown checks: ['nope', 'nope',"),
+    # the first part that is not an integer is named with its position,
+    # also past the 10 parts shown
+    (lambda n: ("expand", "immaculate", "--shape", _csv([1] * (n - 1) + ["x"])),
+     "; part {n} is 'x'"),
 ], ids=["ribbon-outside-class", "thc-list-skew", "render-sigma",
-        "convert-zeros", "shape-not-integers", "verify-unknown-checks"])
+        "convert-zeros", "shape-not-integers", "verify-unknown-checks",
+        "shape-names-the-bad-part"])
 def test_a_refusal_shows_a_long_input_briefly(capsys, argv, rule):
     code, out, err = run(capsys, *argv(_LONG))
-    assert (code, out) == (1, "") and rule in err
+    assert (code, out) == (1, "") and rule.format(n=_LONG) in err
     assert f"... {_LONG} parts" in err and len(err.encode()) < 2048
     # an input of ten parts is still shown whole
     code, out, err = run(capsys, *argv(10))
-    assert (code, out) == (1, "") and rule in err and "parts" not in err
+    assert (code, out) == (1, "") and rule.format(n=10) in err
+    assert "parts" not in err
+
+
+@pytest.mark.parametrize("option, command", [
+    ("--shape", ("expand", "immaculate")),
+    ("--skew", ("expand", "immaculate", "--shape", "1")),
+    ("--sigma", ("thc", "render", "--shape", "1,2")),
+    ("--times", ("expand", "ribbon-product", "--shape", "1")),
+], ids=["shape", "skew", "sigma", "times"])
+def test_a_bad_shape_part_is_named_with_its_position(capsys, option, command):
+    bad = _csv([3] * 12 + ["4a", "x"])
+    code, out, err = run(capsys, *command, option, bad)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (
+        f"error: argument {option}: shape must be comma-separated integers, "
+        f"got '3,3,3,3,3,3,3,3,3,3,... 14 parts'; part 13 is '4a'")
+    # a long part is clipped to its first 20 characters and its length
+    code, out, err = run(capsys, *command, option, "1," + "z" * 5000)
+    assert (code, out) == (1, "") and len(err.encode()) < 2048
+    assert err.endswith(f"part 2 is '{'z' * 20}... 5000 characters'\n")
 
 
 def test_usage_error_exit_code(capsys):

@@ -143,9 +143,26 @@ def test_walk_matches_reference_record_for_record():
     ((3, -2, 4, 1, 5, 0, 2), (3, 2, 2, 1)),
 ], ids=["straight", "skew"])
 def test_seven_row_walk_matches_reference_record_for_record(mu, nu):
-    # the full-depth walk joins each row-6 move to the one move of the top
-    # row; the random test above stops at 6 rows
+    # the full-depth walk joins the top three rows into row 4 and walks
+    # rows 1 to 4; the random test above stops at 6 rows
     assert walk(mu, nu, 7) == [row[1:] for row in reference_walk(mu, nu, 7)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_walk_no_deeper_than_the_join_matches_reference(k):
+    # at full depth the top three rows are joined into the row below
+    # them; up to 4 rows that join takes in every row there is
+    rng = random.Random(20 + k)
+    for case in range(12):
+        mu = tuple(rng.randint(-3, 6) for _ in range(k))
+        nu = ((0,) * k if case % 2 else
+              tuple(sorted((rng.randint(0, 4) for _ in range(k)), reverse=True)))
+        reference = list(reference_walk(mu, nu, k))
+        assert walk(mu, nu, k) == [row[1:] for row in reference]
+        assert list(enumerate_coverings(mu, nu)) == [
+            TunnelHookCovering(mu, nu, cells, deltas, sign)
+            for _, cells, deltas, sign, _ in reference]
+        assert len(reference) == math.factorial(k)
 
 
 def test_interleaved_walks_keep_their_own_state():

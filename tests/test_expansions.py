@@ -70,19 +70,52 @@ def test_skew_expansion_example():
 
 
 def test_a_negative_straightening_sign_builds_one_expression(monkeypatch):
-    # the sign goes on the folded terms, not on a second expression
+    # the sign goes on the folded terms, not on a second expression, by
+    # either constructor
     built = []
-    init = BasisExpr.__init__
+    init, of_clean = BasisExpr.__init__, BasisExpr._of_clean
 
     def counted(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def counted_clean(basis, terms):
+        built.append((basis, terms))
+        return of_clean(basis, terms)
+
     monkeypatch.setattr(BasisExpr, "__init__", counted)
+    monkeypatch.setattr(BasisExpr, "_of_clean", counted_clean)
     assert straighten_skew((2, 5, 3), (1, 3, 0))[0] == -1
     expr = skew_immaculate_to_H((2, 5, 3), (1, 3, 0))
     assert len(built) == 1
     assert expr.coefficient((1, 2, 3)) == 1 and expr.coefficient((3, 3)) == -1
+
+
+def _revalidated(expr):
+    """expr rebuilt through the public constructor, which refuses a part
+    below 1 and a coefficient that is not an int, and drops a zero one."""
+    return BasisExpr(expr.basis, dict(expr.items()))
+
+
+@pytest.mark.parametrize("least", [0, 1])
+def test_fold_results_pass_the_public_constructor(least):
+    # the fold's results skip the constructor's checks, so each must be
+    # what the checks would have let through unchanged
+    rng = random.Random(12 + least)
+    for case in range(120):
+        k = rng.randint(0, 6)
+        mu = tuple(rng.randint(-3, 6) for _ in range(k))
+        nu = tuple(sorted((rng.randint(0, 4) for _ in range(k)), reverse=True))
+        folded = BasisExpr._of_clean("H", _fold_coverings(mu, nu, least=least))
+        results = [folded]
+        if least == 0:
+            inner = tuple(rng.randint(-3, 5) for _ in range(k))
+            results += [immaculate_to_H(mu), skew_immaculate_to_H(mu, inner)]
+        else:
+            alpha = tuple(rng.randint(1, 6) for _ in range(k))
+            results.append(immaculate_to_ribbon_direct(alpha, force=True))
+        for expr in results:
+            assert expr == _revalidated(expr), (mu, nu, expr)
 
 
 def test_skew_by_zero_is_straight():

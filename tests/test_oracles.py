@@ -190,6 +190,45 @@ def test_duality_check_names_a_flipped_coefficient(monkeypatch):
         "detail": "duality failed at n=3: {'alpha': [1, 2], 'mu': [2, 1]}"}
 
 
+def test_oracle_check_names_an_extra_term(monkeypatch):
+    # production expansion of (2, 1) with one term too many: the check
+    # must fail and name that shape, and fold each distinct shape once
+    real = verify.immaculate_to_H
+    calls = []
+
+    def extra(mu):
+        calls.append(mu)
+        got = real(mu)
+        return got + BasisExpr.term("H", (1, 1, 1)) if mu == (2, 1) else got
+
+    monkeypatch.setattr(verify, "immaculate_to_H", extra)
+    assert verify.check_oracle() == {
+        "check": "oracle", "pass": False,
+        "detail": "oracle mismatch at (2, 1)"}
+    assert len(calls) == len(set(calls)) == 2834
+
+
+def test_skew_oracle_check_names_an_extra_term(monkeypatch):
+    # the first shape the seed draws gets one term too many
+    real = verify.skew_immaculate_to_H
+    shapes = []
+
+    def extra(mu, nu):
+        shapes.append((mu, nu))
+        got = real(mu, nu)
+        if len(shapes) > 1:
+            return got
+        return got + BasisExpr.term("H", (1,))
+
+    monkeypatch.setattr(verify, "skew_immaculate_to_H", extra)
+    report = verify.check_skew_oracle()
+    mu, nu = shapes[0]
+    assert report == {
+        "check": "skew-oracle", "pass": False,
+        "detail": f"skew oracle mismatch at {mu}/{nu}"}
+    assert len(shapes) == 200
+
+
 def test_box_sweep_matches_expansion():
     from immaculate.expansions import immaculate_to_H
 
