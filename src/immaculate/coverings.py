@@ -20,7 +20,7 @@ from .diagram import (Cell, GbprDiagram, TunnelHook, _hook_to_cell,
                       _tunnel_j, build_diagram, tail_hook)
 
 IntSeq = tuple[int, ...]
-Move = tuple[IntSeq, int, IntSeq, int]
+Move = tuple[int, int, IntSeq, int]
 #: (terminal cells, subscripts, sign, tail left) of some rows' hooks
 Run = tuple[tuple[Cell, ...], IntSeq, int, IntSeq]
 
@@ -80,13 +80,13 @@ def _tail_moves(start: GbprDiagram,
                 least: float) -> Iterator[dict[IntSeq, list[Move]]]:
     """The moves out of each reachable active tail, one dict per row, in
     row order: row s's maps each tail nu_now[s - 1:] reached to one
-    (prefix, sign, next tail, j) per hook from row s to the tail's row j,
-    the prefix (delta,), or () when delta is 0. Each move is the closed
-    form `tail_hook` on the tail alone. delta = mu_s - nu_p + p - s grows
-    with the terminal row p, as the tail is weakly decreasing, so the
-    terminals are taken from the top down and the first hook with delta
-    below the kill floor `least` ends the row: every lower one is below it
-    too. The fold reads this table under its floor, the walk with none.
+    (delta, sign, next tail, j) per hook from row s to the tail's row j,
+    as the closed form `tail_hook` gives it on the tail alone. delta =
+    mu_s - nu_p + p - s grows with the terminal row p, as the tail is
+    weakly decreasing, so the terminals are taken from the top down and
+    the first hook with delta below the kill floor `least` ends the row:
+    every lower one is below it too. The fold reads this table under its
+    floor, the walk with none.
     """
     tails: dict[IntSeq, None] = {start.nu: None}
     for m in start.mu:
@@ -98,7 +98,7 @@ def _tail_moves(start: GbprDiagram,
                 delta, sign, after = tail_hook(m, tail, j)
                 if delta < least:
                     break
-                moves.append(((delta,) if delta else (), sign, after, j))
+                moves.append((delta, sign, after, j))
                 reached[after] = None
         yield level
         tails = reached
@@ -116,9 +116,9 @@ def _nodes(start: GbprDiagram,
     last row walked, depth-first over `_tail_moves` with no floor.
 
     Each row's moves are first annotated, once per call: the move from
-    row s to the tail's row j ends at (s + j - 1, q), with q = tail[j - 1]
-    + 1, and its subscript is mu_s + j - q; both are kept as one-entry
-    tuples, so a push joins ready tuples. A node's completions are the
+    row s to the tail's row j ends at (s + j - 1, tail[j - 1] + 1), and
+    its subscript is the move's delta; both are kept as one-entry tuples,
+    so a push joins ready tuples. A node's completions are the
     (cells, subscripts, sign, tail left) of its moves out of the last row
     walked, in yield order. At full depth the top rows, up to
     `_JOINED_ROWS` of them, are joined into the row below them: that row's
@@ -130,13 +130,11 @@ def _nodes(start: GbprDiagram,
     if depth == 0:
         yield (), (), 1, [((), (), 1, start.nu)]
         return
-    mu = start.mu
     levels = [
-        {tail: [(((s + j, tail[j - 1] + 1),), (m + j - tail[j - 1] - 1,),
-                  sign, after) for _, sign, after, j in moves]
+        {tail: [(((s + j, tail[j - 1] + 1),), (delta,), sign, after)
+                for delta, sign, after, j in moves]
          for tail, moves in level.items()}
-        for s, m, level in zip(range(depth), mu,
-                               islice(_tail_moves(start, -inf), depth))]
+        for s, level in enumerate(islice(_tail_moves(start, -inf), depth))]
     last = {tail: moves[::-1] for tail, moves in levels.pop().items()}
     if depth == start.k:
         for _ in range(min(_JOINED_ROWS, depth - 1)):

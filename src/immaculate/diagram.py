@@ -45,14 +45,14 @@ Cell = tuple[int, int]
 
 
 def row_counts(mu_i: int, nu_i: int) -> tuple[int, int, int]:
-    """(grey, blue, red) counts for a row with outer length mu_i over nu_i."""
+    """(grey, blue, red) counts for a row with outer length mu_i over nu_i.
+
+    One closed form for the three cases of the module's colour table: blue
+    is what mu_i exceeds nu_i by, red what nu_i exceeds mu_i by.
+    """
     if nu_i < 0:
         raise ValueError(f"nu entry must be nonnegative, got {nu_i}")
-    if mu_i > 0 and nu_i <= mu_i:
-        return nu_i, mu_i - nu_i, 0
-    if mu_i > 0:
-        return nu_i, 0, nu_i - mu_i
-    return nu_i, 0, -mu_i + nu_i
+    return nu_i, max(mu_i - nu_i, 0), max(nu_i - mu_i, 0)
 
 
 class _Diagram(NamedTuple):

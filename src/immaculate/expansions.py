@@ -54,7 +54,8 @@ def _fold_coverings(
         for tail, moves in levels.pop().items():
             terms: dict[IntSeq, int] = {}
             get = terms.get
-            for prefix, sign, after, _ in moves:
+            for delta, sign, after, _ in moves:
+                prefix = (delta,) if delta else ()
                 for index, coeff in below[after].items():
                     index = prefix + index
                     terms[index] = get(index, 0) + sign * coeff

@@ -36,14 +36,12 @@ class _PartStrings(dict):
 class BasisExpr:
     """Immutable linear combination over one basis family.
 
-    Terms with zero coefficient are never stored, and iteration is always
-    in lexicographic index order, so equal expressions serialize
-    identically. Construction, ``==`` and ``hash`` do not sort: the first
-    read that needs index order sorts the terms once, for the life of the
-    expression.
+    Terms with zero coefficient are never stored, and the terms are sorted
+    once, when built, so iteration is always in lexicographic index order
+    and equal expressions serialize identically.
     """
 
-    __slots__ = ("basis", "_terms", "_ordered")
+    __slots__ = ("basis", "_terms")
 
     def __init__(self, basis: str, terms: Optional[Mapping[Index, int]] = None):
         if basis not in BASES:
@@ -66,25 +64,24 @@ class BasisExpr:
             if coeff:
                 clean[index] = coeff
         self.basis = basis
-        self._terms = clean
-        self._ordered = False
+        # indices are unique, so sorting the keys alone gives the order
+        self._terms = {index: clean[index] for index in sorted(clean)}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def _of_clean(cls, basis: str, terms: dict[Index, int]) -> "BasisExpr":
-        """An expression that takes terms as they are, checking nothing.
+        """An expression of terms that are already clean, checking nothing.
 
-        Only for a terms dict already in the form `__init__` stores: each
-        index a tuple of positive ints, each coefficient a nonzero int.
-        The covering fold builds its results so, and its callers wrap
-        them here instead of checking every index part again. The dict is
-        kept, not copied.
+        Only for a terms dict whose entries are in the form `__init__`
+        stores: each index a tuple of positive ints, each coefficient a
+        nonzero int. The covering fold builds its results so, and its
+        callers wrap them here instead of checking every index part again.
+        The terms are sorted into a new dict, as `__init__` does.
         """
         expr = object.__new__(cls)
         expr.basis = basis
-        expr._terms = terms
-        expr._ordered = False
+        expr._terms = {index: terms[index] for index in sorted(terms)}
         return expr
 
     @classmethod
@@ -101,22 +98,9 @@ class BasisExpr:
 
     # -- inspection ---------------------------------------------------
 
-    def _sorted_terms(self) -> dict[Index, int]:
-        """The terms in index order, sorted on the first call only.
-
-        The sorted dict replaces the old one rather than reordering it, so
-        a reader still iterating the old dict is not disturbed. Indices are
-        unique, so sorting the keys alone gives the order.
-        """
-        if not self._ordered:
-            terms = self._terms
-            self._terms = {index: terms[index] for index in sorted(terms)}
-            self._ordered = True
-        return self._terms
-
     def items(self) -> Iterator[tuple[Index, int]]:
         """Terms in lexicographic index order."""
-        return iter(self._sorted_terms().items())
+        return iter(self._terms.items())
 
     def coefficient(self, index: Iterable[int]) -> int:
         return self._terms.get(tuple(index), 0)
@@ -195,7 +179,7 @@ class BasisExpr:
         Index parts repeat across terms and take few distinct values, so
         each one's string is made once per call.
         """
-        terms = self._sorted_terms()
+        terms = self._terms
         if not terms:
             return "0"
         left, right = brackets
@@ -220,4 +204,4 @@ class BasisExpr:
         return self._render(_LATEX_TOKEN[self.basis], ("_{(", ")}"), "\\,")
 
     def __repr__(self) -> str:
-        return f"BasisExpr({self.basis!r}, {self._sorted_terms()!r})"
+        return f"BasisExpr({self.basis!r}, {self._terms!r})"

@@ -15,7 +15,8 @@ from immaculate.coverings import (
     enumerate_coverings,
     permutation_from_covering,
 )
-from immaculate.diagram import TunnelHook, build_diagram
+from immaculate.diagram import TunnelHook, build_diagram, tail_hook
+from immaculate.expansions import skew_prefix_decomposition
 
 
 def test_enumerate_313():
@@ -175,6 +176,33 @@ def test_interleaved_walks_keep_their_own_state():
         got_b.append(y)
     assert got_a == [row[1:] for row in reference_walk(a, nu, 4)]
     assert got_b == [row[1:] for row in reference_walk(b, nu, 4)]
+
+
+@pytest.mark.parametrize("mu, nu", [
+    ((2, 5, -1, 3, 0, 4), ()),
+    ((3, -2, 4, 1, 5), (3, 2, 2, 1)),
+], ids=["straight", "skew"])
+def test_the_walk_reads_each_subscript_from_tail_hook(monkeypatch, mu, nu):
+    # a walk that computes a subscript of its own, and not the delta that
+    # tail_hook gives, misses a shift of every delta by a constant
+    shift = 100
+    expected_walk = [(cells, tuple(d + shift for d in deltas), sign, tail)
+                     for cells, deltas, sign, tail in walk(mu, nu, len(mu))]
+    expected_coverings = [
+        g._replace(delta_seq=tuple(d + shift for d in g.delta_seq))
+        for g in enumerate_coverings(mu, nu)]
+    expected_prefixes = [
+        (sign, tuple(d + shift for d in prefix), tail)
+        for sign, prefix, tail in skew_prefix_decomposition(mu, 2)]
+
+    def shifted(m, tail, j):
+        delta, sign, after = tail_hook(m, tail, j)
+        return delta + shift, sign, after
+
+    monkeypatch.setattr("immaculate.coverings.tail_hook", shifted)
+    assert walk(mu, nu, len(mu)) == expected_walk
+    assert list(enumerate_coverings(mu, nu)) == expected_coverings
+    assert skew_prefix_decomposition(mu, 2) == expected_prefixes
 
 
 def test_covering_from_permutation_example():

@@ -31,6 +31,25 @@ def test_row_counts_cases():
     assert row_counts(1, 2) == (2, 0, 1)   # positive, nu above mu
     assert row_counts(-3, 2) == (2, 0, 5)  # nonpositive mu
     assert row_counts(0, 0) == (0, 0, 0)
+    # the colour table of the diagram module, case by case
+    for mu_i in range(-6, 7):
+        for nu_i in range(8):
+            if mu_i > 0 and nu_i <= mu_i:
+                expected = (nu_i, mu_i - nu_i, 0)
+            elif mu_i > 0:
+                expected = (nu_i, 0, nu_i - mu_i)
+            else:
+                expected = (nu_i, 0, abs(mu_i) + nu_i)
+            assert row_counts(mu_i, nu_i) == expected, (mu_i, nu_i)
+            grey, blue, red = expected
+            assert grey + blue - red == mu_i and not (blue and red)
+
+
+@pytest.mark.parametrize("mu_i", [-2, 0, 3])
+def test_row_counts_refuses_a_negative_nu_entry(mu_i):
+    with pytest.raises(ValueError,
+                       match=r"^nu entry must be nonnegative, got -1$"):
+        row_counts(mu_i, -1)
 
 
 def test_build_diagram_mixed_rows():

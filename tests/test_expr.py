@@ -171,19 +171,21 @@ _FIRST_READS = {
 @pytest.mark.parametrize("first", _FIRST_READS)
 def test_every_read_is_in_index_order_whichever_comes_first(first):
     terms = {(5, 2): 1, (12, 1): -1, (): 4, (3, 1, 3): -2, (3,): 1, (10,): 3}
-    expr = BasisExpr("H", terms)
-    _FIRST_READS[first](expr)
     ordered = sorted(terms.items())
-    assert list(expr.items()) == ordered
-    assert expr.to_text() == text_by_terms(expr)
-    assert expr.to_latex() == latex_by_terms(expr)
-    assert expr.to_json_dict()["terms"] == [
-        {"coeff": c, "index": list(i)} for i, c in ordered]
-    assert repr(expr) == f"BasisExpr('H', {dict(ordered)!r})"
-    # an expression that has been read in order equals and hashes like
-    # one that has not
-    fresh = BasisExpr("H", terms)
-    assert expr == fresh and hash(expr) == hash(fresh)
+    # the public constructor, and the unchecked one that wraps a fold
+    # result, which hands over its dict unsorted
+    for expr in (BasisExpr("H", terms), BasisExpr._of_clean("H", dict(terms))):
+        _FIRST_READS[first](expr)
+        assert list(expr.items()) == ordered
+        assert expr.to_text() == text_by_terms(expr)
+        assert expr.to_latex() == latex_by_terms(expr)
+        assert expr.to_json_dict()["terms"] == [
+            {"coeff": c, "index": list(i)} for i, c in ordered]
+        assert repr(expr) == f"BasisExpr('H', {dict(ordered)!r})"
+        # an expression that has been read in order equals and hashes like
+        # one that has not
+        fresh = BasisExpr("H", terms)
+        assert expr == fresh and hash(expr) == hash(fresh)
 
 
 def test_an_11760_term_expansion_renders_as_pinned():
