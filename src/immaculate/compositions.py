@@ -1,4 +1,4 @@
-"""Compositions, coarsenings, and permutation combinatorics.
+"""Compositions, coarsenings, permutation combinatorics, integer inputs.
 
 Conventions: a composition is a tuple of positive ints (a "weak" composition
 may contain zeros or negatives where noted). Positions in subsets are 1-based
@@ -42,6 +42,20 @@ def brief(parts: tuple) -> tuple:
     if len(parts) <= 10:
         return parts
     return parts[:10] + (_Omitted(f"... {len(parts)} parts"),)
+
+
+def int_parts(parts: Iterable, what: str, strong: bool = False) -> tuple[int, ...]:
+    """parts as a tuple of ints: the one check of every integer input, a
+    scalar x as (x,). A part that is not an int, or with strong one below
+    1, raises `{what} {parts} is not a strong composition` with strong and
+    `... is not a sequence of integers` without, as a ValueError."""
+    parts = tuple(parts)
+    for part in parts:
+        # type(...) is int refuses bool and 2.0, which isinstance or == let in
+        if type(part) is not int or strong and part < 1:
+            rule = "a strong composition" if strong else "a sequence of integers"
+            raise ValueError(f"{what} {brief(parts)} is not {rule}")
+    return parts
 
 
 def coarsenings(alpha: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:

@@ -15,7 +15,7 @@ from itertools import islice
 from math import inf
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .compositions import brief
+from .compositions import brief, int_parts
 from .diagram import (Cell, GbprDiagram, TunnelHook, _hook_to_cell,
                       _tunnel_j, build_diagram, tail_hook)
 
@@ -216,7 +216,7 @@ def covering_from_permutation(
     values exceeding sigma_r.
     """
     mu = tuple(mu)
-    sigma = tuple(sigma)
+    sigma = int_parts(sigma, "sigma")
     if len(sigma) != len(mu):
         raise ValueError("sigma and mu must have equal length")
     if sorted(sigma) != list(range(1, len(mu) + 1)):

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .compositions import brief
+from .compositions import brief, int_parts
 
 Cell = tuple[int, int]
 
@@ -66,7 +66,13 @@ class GbprDiagram(_Diagram):
 
     __slots__ = ()
 
-    def __new__(cls, mu: tuple[int, ...], nu: tuple[int, ...], offset: int = 0):
+    def __new__(cls, mu: Iterable[int], nu: Iterable[int], offset: int = 0):
+        return cls._of_ints(int_parts(mu, "mu"), int_parts(nu, "nu"),
+                            *int_parts((offset,), "offset"))
+
+    @classmethod
+    def _of_ints(cls, mu: tuple[int, ...], nu: tuple[int, ...], offset: int = 0):
+        """mu, nu and offset already read by `int_parts`: checks the rest."""
         if len(mu) != len(nu):
             raise ValueError("mu and nu must have equal length")
         if not 0 <= offset <= len(mu):
@@ -127,21 +133,19 @@ class GbprDiagram(_Diagram):
         return [(p, self.nu[p - 1] + 1) for p in range(self.start_row, self.k + 1)]
 
 
-def pad_pair(
-    mu: Iterable[int], nu: Optional[Iterable[int]]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Zero-pad the shorter of mu, nu on the right."""
-    mu = tuple(mu)
-    nu = tuple(nu) if nu is not None else ()
+def pad_pair(mu: Iterable[int], nu: Optional[Iterable[int]]
+             ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """mu and nu read by `int_parts`, the shorter zero-padded on the right."""
+    mu = int_parts(mu, "mu")
+    nu = int_parts(nu, "nu") if nu is not None else ()
     k = max(len(mu), len(nu))
     return mu + (0,) * (k - len(mu)), nu + (0,) * (k - len(nu))
 
 
-def build_diagram(
-    mu: Iterable[int], nu: Optional[Iterable[int]] = None, offset: int = 0
-) -> GbprDiagram:
+def build_diagram(mu: Iterable[int],
+                  nu: Optional[Iterable[int]] = None) -> GbprDiagram:
     """Diagram for mu over nu, the shorter one zero-padded on the right."""
-    return GbprDiagram(*pad_pair(mu, nu), offset)
+    return GbprDiagram._of_ints(*pad_pair(mu, nu))
 
 
 class TunnelHook(NamedTuple):
@@ -237,12 +241,13 @@ def apply_hook(diagram: GbprDiagram, hook: TunnelHook) -> GbprDiagram:
     """
     s = diagram.start_row
     p = hook.terminal[0]
-    if not s <= p <= diagram.k or hook != step(diagram.mu, diagram.nu, s, p):
+    if not s <= p <= diagram.k or hook != (built := step(diagram.mu, diagram.nu, s, p)):
         raise ValueError(
             f"hook to terminal {hook.terminal} was not built on the diagram "
             f"{diagram.mu} over {diagram.nu} at row {s}"
         )
-    return GbprDiagram(diagram.mu, hook.bumped, diagram.offset + 1)
+    # step's rows are ints, where those of a hook equal to it may be 2.0
+    return GbprDiagram._of_ints(diagram.mu, built.bumped, diagram.offset + 1)
 
 
 def _row_width(diagram: GbprDiagram, i: int) -> int:

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .compositions import brief, compositions_of, permutation_sign
+from .compositions import compositions_of, int_parts, permutation_sign
 from .coverings import IntSeq, MAX_ROWS, _check_rows, _tail_moves, _walk
-from .diagram import build_diagram, pad_pair
+from .diagram import GbprDiagram, build_diagram, pad_pair
 from .expr import BasisExpr
 
 
@@ -36,7 +36,8 @@ def _fold_coverings(
     Only coverings whose subscripts are all at least the kill floor
     `least` count: least = 0 gives the H expansion (H_a = 0 for a < 0),
     and least = 1 the direct ribbon formula, where a zero part kills too.
-    A zero subscript is dropped (H_0 = 1).
+    A zero subscript is dropped (H_0 = 1). mu and nu are tuples of ints,
+    as the callers read them; nu is zero-padded to mu's length here.
 
     Two passes over the active tails of `_tail_moves`: forward, the tails
     each row reaches; backward, from row k up, each tail's signed dict of
@@ -44,7 +45,7 @@ def _fold_coverings(
     dropped as soon as the one above it is built, and cancelled indices
     are dropped once, at the top.
     """
-    start = build_diagram(mu, nu)
+    start = GbprDiagram._of_ints(mu, nu + (0,) * (len(mu) - len(nu)))
     _check_rows(start.k)
     levels = list(_tail_moves(start, least))
     # every row absorbed: the empty tail and the empty suffix
@@ -66,8 +67,7 @@ def _fold_coverings(
 
 def immaculate_to_H(mu: Iterable[int]) -> BasisExpr:
     """H-expansion of the immaculate element indexed by the sequence mu."""
-    mu = tuple(mu)
-    return BasisExpr._of_clean("H", _fold_coverings(mu, (0,) * len(mu)))
+    return BasisExpr._of_clean("H", _fold_coverings(int_parts(mu, "mu"), ()))
 
 
 def straighten_skew(
@@ -121,15 +121,14 @@ def skew_prefix_decomposition(
     H-subscripts mu_i - i + pi_i and the tail is what they leave. Summing
     sign * H(prefix) * (skew expansion of the tail) gives that of mu.
     """
-    mu = tuple(mu)
-    k = len(mu)
+    start = build_diagram(mu)
+    k = start.k
     if not k:
         raise ValueError("the shape has no rows to split")
-    if not 1 <= m <= k:
+    if not 1 <= int_parts((m,), "m")[0] <= k:
         raise ValueError(f"need 1 <= m <= {k}, got {m}")
-    start = build_diagram(mu)
     _check_rows(k)
-    return [(sign, deltas, (mu[m:], tail))
+    return [(sign, deltas, (start.mu[m:], tail))
             for _, deltas, sign, tail in _walk(start, m)]
 
 
@@ -140,14 +139,12 @@ def monomial_to_dual_immaculate(alpha: Iterable[int]) -> BasisExpr:
     H_alpha in the immaculate element at mu, so it is read off the covering
     fold of every composition mu of |alpha|: |alpha| is held to MAX_ROWS.
     """
-    alpha = tuple(alpha)
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"alpha must be a strong composition: {brief(alpha)}")
+    alpha = int_parts(alpha, "alpha", strong=True)
     n = sum(alpha)
     if n > MAX_ROWS:
         raise ValueError(f"|alpha| = {n} exceeds the bound {MAX_ROWS}")
     return BasisExpr("dI", {
-        mu: _fold_coverings(mu, (0,) * len(mu)).get(alpha, 0)
+        mu: _fold_coverings(mu, ()).get(alpha, 0)
         for mu in compositions_of(n)
     })
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .compositions import brief
+from .compositions import brief, int_parts
 
 Index = tuple[int, ...]
 
@@ -48,12 +48,7 @@ class BasisExpr:
             raise ValueError(f"unknown basis label {basis!r}")
         clean: dict[Index, int] = {}
         for index, coeff in (terms or {}).items():
-            index = tuple(index)
-            # type(...) is int refuses bool, which isinstance would let in
-            for a in index:
-                if type(a) is not int or a < 1:
-                    raise ValueError(
-                        f"index {brief(index)} is not a strong composition")
+            index = int_parts(index, "index", strong=True)
             if type(coeff) is not int:
                 raise ValueError(
                     f"coefficient {coeff!r} of index {brief(index)} is not an int")

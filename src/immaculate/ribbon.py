@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .compositions import brief, coarsenings
+from .compositions import brief, coarsenings, int_parts
 from .expansions import _fold_coverings
 from .expr import BasisExpr
 
@@ -61,13 +61,10 @@ def ribbon_product(alpha: Iterable[int], beta: Iterable[int]) -> BasisExpr:
     Both factors must be nonempty strong compositions; a bad one is named
     before either product index is built.
     """
-    alpha, beta = tuple(alpha), tuple(beta)
+    alpha, beta = (int_parts(factor, "ribbon product factor", strong=True)
+                   for factor in (alpha, beta))
     if not alpha or not beta:
         raise ValueError("ribbon product factors must be nonempty")
-    for factor in (alpha, beta):
-        if any(a < 1 for a in factor):
-            raise ValueError(
-                f"ribbon product factor {brief(factor)} is not a strong composition")
     joined = alpha + beta
     fused = alpha[:-1] + (alpha[-1] + beta[0],) + beta[1:]
     return BasisExpr.term("R", joined) + BasisExpr.term("R", fused)
@@ -80,11 +77,9 @@ def im2rib_class(alpha: Iterable[int]) -> Optional[int]:
     direct signed-permutation formula below. Only J = min(alpha_k, k) can
     qualify: a J below k puts alpha_k in the tail, so J = alpha_k, and
     J = k needs alpha_k >= k. J = 0 holds only for the empty composition:
-    I_() = 1 = R_(). A part below 1 raises.
+    I_() = 1 = R_(). A part that is not an int, or is below 1, raises.
     """
-    alpha = tuple(alpha)
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"alpha must be a strong composition: {brief(alpha)}")
+    alpha = int_parts(alpha, "alpha", strong=True)
     J = min(alpha[-1], len(alpha)) if alpha else 0
     fits = all(a >= l for l, a in enumerate(alpha[:J], start=1))
     return J if fits and all(a == J for a in alpha[J:]) else None
@@ -102,8 +97,8 @@ def immaculate_to_ribbon_direct(
     The covering of alpha with permutation sigma has subscripts
     alpha_i - i + sigma_i and sign sign(sigma), so the sum is the covering
     fold with "a part <= 0 kills": it visits only the coverings whose
-    prefix parts are all positive. A part below 1, or more than
-    `coverings.MAX_ROWS` parts, raises.
+    prefix parts are all positive. A part that is not an int or is below
+    1, or more than `coverings.MAX_ROWS` parts, raises.
     """
     alpha = tuple(alpha)
     if im2rib_class(alpha) is None and not force:
@@ -111,5 +106,4 @@ def immaculate_to_ribbon_direct(
             f"{brief(alpha)} is outside the proven class for the direct "
             f"ribbon formula; use force to evaluate it anyway"
         )
-    return BasisExpr._of_clean(
-        "R", _fold_coverings(alpha, (0,) * len(alpha), least=1))
+    return BasisExpr._of_clean("R", _fold_coverings(alpha, (), least=1))

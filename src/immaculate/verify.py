@@ -12,13 +12,8 @@ import math
 import random
 from itertools import permutations, product
 
-from .compositions import (
-    brief,
-    compositions_of,
-    is_partition,
-    lehmer_code,
-    permutation_sign,
-)
+from .compositions import (brief, compositions_of, int_parts, is_partition,
+                           lehmer_code, permutation_sign)
 from .coverings import (
     covering_from_permutation,
     enumerate_coverings,
@@ -433,7 +428,7 @@ def run_suite(names=None, *, seed=None, max_n=None) -> list[dict]:
     given neither runs at its defaults. A max_n outside 1..MAX_N or an
     unknown check name raises ValueError, and any other keyword TypeError.
     """
-    if max_n is not None and not 1 <= max_n <= MAX_N:
+    if max_n is not None and not 1 <= int_parts((max_n,), "max_n")[0] <= MAX_N:
         raise ValueError(f"--n (max_n) must be between 1 and {MAX_N}, "
                          f"got {max_n}")
     if names is None:

@@ -84,7 +84,7 @@ def test_expand_ribbon_rejects_zero_part(capsys, force):
     code, out, err = run(capsys, "expand", "immaculate", "--shape", "0",
                          "--basis", "R", *force)
     assert (code, out) == (1, "")
-    assert err == "error: alpha must be a strong composition: (0,)\n"
+    assert err == "error: alpha (0,) is not a strong composition\n"
 
 
 @pytest.mark.parametrize("force", [(), ("--force",)])

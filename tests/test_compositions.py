@@ -1,9 +1,12 @@
 import random
 from itertools import combinations, permutations
 
+import pytest
+
 from immaculate.compositions import (
     coarsenings,
     compositions_of,
+    int_parts,
     is_partition,
     lehmer_code,
     permutation_sign,
@@ -15,6 +18,19 @@ def test_compositions_count():
     for n in range(1, 9):
         assert len(list(compositions_of(n))) == 2 ** (n - 1)
     assert list(compositions_of(0)) == [()]
+
+
+def test_int_parts_reads_a_tuple_of_ints():
+    assert int_parts([3, -1, 0], "mu") == (3, -1, 0)
+    assert int_parts(iter(()), "alpha", strong=True) == ()
+    with pytest.raises(ValueError,
+                       match=r"^alpha \(2, 0\) is not a strong composition$"):
+        int_parts((2, 0), "alpha", strong=True)
+    # a long input is shown by its first ten parts and its length
+    with pytest.raises(ValueError, match=r"^nu \(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "
+                                         r"\.\.\. 11 parts\) is not a sequence "
+                                         r"of integers$"):
+        int_parts((0,) * 10 + (0.0,), "nu")
 
 
 def coarsening(alpha, subset):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from itertools import permutations
 
@@ -13,7 +14,13 @@ from immaculate.coverings import (
     covering_from_terminal_cells,
     enumerate_coverings,
 )
-from immaculate.diagram import build_diagram
+from immaculate.diagram import (
+    GbprDiagram,
+    build_diagram,
+    make_tunnel_hook,
+    pad_pair,
+    render,
+)
 from immaculate.expansions import (
     _fold_coverings,
     forgetful_to_h,
@@ -29,7 +36,12 @@ from immaculate.oracles import (
     jacobi_trudi_matrix,
     ndet_expand,
 )
-from immaculate.ribbon import immaculate_to_ribbon_direct
+from immaculate.ribbon import (
+    im2rib_class,
+    immaculate_to_ribbon_direct,
+    ribbon_product,
+)
+from immaculate.verify import run_suite
 
 
 def H(terms):
@@ -428,6 +440,69 @@ def test_every_entry_point_holds_the_one_row_bound(call, refusal):
     with pytest.raises(ValueError, match=refusal):
         call(11)
     call(10)
+
+
+#: Each entry point, given one part that is not an int, and the name its
+#: refusal gives the input.
+_PART_CALLS = {
+    "pad_pair-mu": (lambda x: pad_pair((2, x), None), "mu"),
+    "pad_pair-nu": (lambda x: pad_pair((2,), (x,)), "nu"),
+    "GbprDiagram-mu": (lambda x: GbprDiagram((2, x), (0, 0)), "mu"),
+    "GbprDiagram-nu": (lambda x: GbprDiagram((2,), (x,)), "nu"),
+    "GbprDiagram-offset": (lambda x: GbprDiagram((2,), (0,), x), "offset"),
+    "build_diagram": (lambda x: build_diagram((2, 1), (x,)), "nu"),
+    "make_tunnel_hook": (
+        lambda x: make_tunnel_hook(build_diagram((x, 1)), (1, 1)), "mu"),
+    "render": (lambda x: render(build_diagram((x,))), "mu"),
+    "straighten_skew": (lambda x: straighten_skew((3, 1), (x,)), "nu"),
+    "immaculate_to_H": (lambda x: immaculate_to_H((x, 2)), "mu"),
+    "skew_immaculate_to_H-mu": (
+        lambda x: skew_immaculate_to_H((3, x), (1,)), "mu"),
+    "skew_immaculate_to_H-nu": (
+        lambda x: skew_immaculate_to_H((3, 1), (x,)), "nu"),
+    "skew_prefix_decomposition": (
+        lambda x: skew_prefix_decomposition((2, x), 1), "mu"),
+    "enumerate_coverings": (lambda x: next(enumerate_coverings((x, 1))), "mu"),
+    "covering_from_terminal_cells": (
+        lambda x: covering_from_terminal_cells((x, 1), None, [(1, 1), (2, 1)]),
+        "mu"),
+    "covering_from_permutation-mu": (
+        lambda x: covering_from_permutation((2, x), (1, 2)), "mu"),
+    "covering_from_permutation-sigma": (
+        lambda x: covering_from_permutation((2, 1), (x, 2)), "sigma"),
+    "BasisExpr": (lambda x: BasisExpr("H", {(2, x): 1}), "index"),
+    "BasisExpr.term": (lambda x: BasisExpr.term("R", (x,)), "index"),
+    "monomial_to_dual_immaculate": (
+        lambda x: monomial_to_dual_immaculate((x, 1)), "alpha"),
+    "im2rib_class": (lambda x: im2rib_class((x, 2)), "alpha"),
+    "immaculate_to_ribbon_direct": (
+        lambda x: immaculate_to_ribbon_direct((x, x)), "alpha"),
+    "ribbon_product": (lambda x: ribbon_product((2,), (x,)),
+                       "ribbon product factor"),
+}
+_NOT_INT = {"float": 1.0, "half": 1.5, "bool": True, "str": "1"}
+
+
+@pytest.mark.parametrize("call, what, part", [
+    pytest.param(call, what, part, id=f"{name}-{kind}")
+    for name, (call, what) in _PART_CALLS.items()
+    for kind, part in _NOT_INT.items()
+] + [
+    pytest.param(lambda m: skew_prefix_decomposition((2, 1), m), "m", 1.0,
+                 id="skew_prefix_decomposition-m-float"),
+    pytest.param(lambda n: run_suite(["golden"], max_n=n), "max_n", 2.5,
+                 id="run_suite-max_n-float"),
+    pytest.param(lambda n: run_suite(["golden"], max_n=n), "max_n", True,
+                 id="run_suite-max_n-bool"),
+])
+def test_every_entry_point_refuses_a_part_that_is_not_an_int(call, what, part):
+    # 1.0 == 1 and True == 1, so only the type tells them apart; the
+    # refusal is a ValueError that names the input, never a TypeError
+    # from deeper down or a result
+    shown = rf"\(.*{re.escape(repr(part))}.*\)"
+    rule = "(a strong composition|a sequence of integers)"
+    with pytest.raises(ValueError, match=rf"^{re.escape(what)} {shown} is not {rule}$"):
+        call(part)
 
 
 def test_monomial_212():

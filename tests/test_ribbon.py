@@ -151,7 +151,7 @@ def test_class_absent():
 @pytest.mark.parametrize("alpha", [(0,), (0, 0), (2, 0)])
 def test_class_rejects_weak_composition(alpha):
     # a zero part is not "in the class"; the direct formula rejects it too
-    message = f"alpha must be a strong composition: {alpha}"
+    message = f"alpha {alpha} is not a strong composition"
     with pytest.raises(ValueError, match=re.escape(message)):
         im2rib_class(alpha)
     for force in (False, True):
