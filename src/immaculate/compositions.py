@@ -46,14 +46,18 @@ def brief(parts: tuple) -> tuple:
 
 def int_parts(parts: Iterable, what: str, strong: bool = False) -> tuple[int, ...]:
     """parts as a tuple of ints: the one check of every integer input, a
-    scalar x as (x,). A part that is not an int, or with strong one below
-    1, raises `{what} {parts} is not a strong composition` with strong and
-    `... is not a sequence of integers` without, as a ValueError."""
-    parts = tuple(parts)
+    scalar x as (x,). parts that are not iterable, or a part that is not
+    an int or with strong one below 1, raise `{what} {parts} is not a
+    strong composition` with strong and `... is not a sequence of
+    integers` without, as a ValueError."""
+    rule = "a strong composition" if strong else "a sequence of integers"
+    try:
+        parts = tuple(parts)
+    except TypeError:
+        raise ValueError(f"{what} {parts!r} is not {rule}") from None
     for part in parts:
         # type(...) is int refuses bool and 2.0, which isinstance or == let in
         if type(part) is not int or strong and part < 1:
-            rule = "a strong composition" if strong else "a sequence of integers"
             raise ValueError(f"{what} {brief(parts)} is not {rule}")
     return parts
 

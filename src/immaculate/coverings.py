@@ -6,11 +6,15 @@ previous r-1 hooks were absorbed. A shape with k rows has exactly k!
 coverings. When nu = 0 the coverings are in bijection with permutations
 of {1..k} via sigma_i = p_i - q_i + 1 on terminal cells (p_i, q_i).
 The walk here and the expansion fold read one move table, `_tail_moves`,
-keyed on the active tail; hook records are built only when read.
+keyed on the active tail; hook records are built only when read. The
+hooks from a row depend on the active tail alone, so the table reads
+each tail's hooks from `_tail_hooks`, a memo that computes them once per
+process with `tail_hook` and keeps at most 2 048 tails.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 from math import inf
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -76,12 +80,29 @@ def _check_rows(k: int) -> None:
             f"shape has {k} rows; enumeration is limited to {MAX_ROWS}")
 
 
+# 2 048 tails: a whole `verify` sweep reaches 1 227 of them and one fold
+# of MAX_ROWS rows at most 2^10 - 1. An entry takes about 0.85 KB on the
+# tails of 4 to 6 parts such runs reach and about 2.8 KB on one of 10
+# parts, so the memo holds about 1 MB there and about 6 MB at worst.
+@lru_cache(maxsize=2048)
+def _tail_hooks(tail: IntSeq) -> tuple[Move, ...]:
+    """(delta, sign, tail left, j) of each hook from the tail's first row,
+    j = len(tail) down to 1, as `tail_hook` gives it from a start row of
+    length 0: a start row of length m adds m to delta and changes nothing
+    else. Every shape that reaches a tail shares its hooks, so they are
+    computed once per process and kept, the least recently read dropped
+    first.
+    """
+    return tuple([tail_hook(0, tail, j) + (j,)
+                  for j in range(len(tail), 0, -1)])
+
+
 def _tail_moves(start: GbprDiagram,
                 least: float) -> Iterator[dict[IntSeq, list[Move]]]:
     """The moves out of each reachable active tail, one dict per row, in
     row order: row s's maps each tail nu_now[s - 1:] reached to one
     (delta, sign, next tail, j) per hook from row s to the tail's row j,
-    as the closed form `tail_hook` gives it on the tail alone. delta =
+    read from the memo `_tail_hooks` with delta moved up by mu_s. delta =
     mu_s - nu_p + p - s grows with the terminal row p, as the tail is
     weakly decreasing, so the terminals are taken from the top down and
     the first hook with delta below the kill floor `least` ends the row:
@@ -94,8 +115,8 @@ def _tail_moves(start: GbprDiagram,
         reached: dict[IntSeq, None] = {}
         for tail in tails:
             moves = level[tail] = []
-            for j in range(len(tail), 0, -1):
-                delta, sign, after = tail_hook(m, tail, j)
+            for shift, sign, after, j in _tail_hooks(tail):
+                delta = m + shift
                 if delta < least:
                     break
                 moves.append((delta, sign, after, j))

@@ -27,10 +27,10 @@ and every other row of nu is unchanged. Only rows s..p enter, so the rule
 is written once, in `tail_hook`, on the active tail nu_s, nu_{s+1}, ...:
 it gives delta, sign and the bumped rows above s. `step` builds the
 `TunnelHook` record from it by adding the terminal cell and bumped_s;
-`coverings._tail_moves`, the one move table of the fold and the walk,
-and the covering replay call it and build no record. `_tunnel_j` is the
-one check that a cell is the tunnel cell of its row, shared by
-`make_tunnel_hook` and the replay.
+`coverings._tail_hooks`, the memo behind `_tail_moves`, the one move
+table of the fold and the walk, and the covering replay call it and
+build no record. `_tunnel_j` is the one check that a cell is the tunnel
+cell of its row, shared by `make_tunnel_hook` and the replay.
 `boundary_cells` keeps the paper's cell-by-cell definition as the
 reference the rule is checked against.
 """

@@ -14,8 +14,10 @@ many as the column sets that a row-by-row Laplace expansion of the
 Jacobi-Trudi determinant has used by then: at most 2^k - 1 states in
 all, where there are k! coverings. The hooks are read from
 `coverings._tail_moves`, the one move table, which the covering walk
-reads too and which takes each hook from the closed form
-`diagram.tail_hook`, so the fold builds no `TunnelHook` record.
+reads too, so the fold builds no `TunnelHook` record. The table takes
+each tail's hooks from the closed form `diagram.tail_hook` once per
+process, through the memo `coverings._tail_hooks`, and adds mu_s to
+their deltas: folds that reach the same tail share its hooks.
 """
 
 from __future__ import annotations

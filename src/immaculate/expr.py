@@ -98,7 +98,8 @@ class BasisExpr:
         return iter(self._terms.items())
 
     def coefficient(self, index: Iterable[int]) -> int:
-        return self._terms.get(tuple(index), 0)
+        """The coefficient of the index, read by `int_parts`: 0 if absent."""
+        return self._terms.get(int_parts(index, "index"), 0)
 
     def __len__(self) -> int:
         return len(self._terms)

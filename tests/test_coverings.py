@@ -9,6 +9,7 @@ from helpers import reference_walk
 from immaculate.compositions import lehmer_code, permutation_sign
 from immaculate.coverings import (
     TunnelHookCovering,
+    _tail_hooks,
     _walk,
     covering_from_permutation,
     covering_from_terminal_cells,
@@ -178,11 +179,24 @@ def test_interleaved_walks_keep_their_own_state():
     assert got_b == [row[1:] for row in reference_walk(b, nu, 4)]
 
 
+@pytest.fixture
+def patch_tail_hook(monkeypatch):
+    # the memo keeps the hooks of every tail it has seen, so it is cleared
+    # when the patch goes in, or the hooks of the real tail_hook would
+    # hide it, and at teardown, or the patched hooks would reach the
+    # tests after this one
+    def patch(fn):
+        monkeypatch.setattr("immaculate.coverings.tail_hook", fn)
+        _tail_hooks.cache_clear()
+    yield patch
+    _tail_hooks.cache_clear()
+
+
 @pytest.mark.parametrize("mu, nu", [
     ((2, 5, -1, 3, 0, 4), ()),
     ((3, -2, 4, 1, 5), (3, 2, 2, 1)),
 ], ids=["straight", "skew"])
-def test_the_walk_reads_each_subscript_from_tail_hook(monkeypatch, mu, nu):
+def test_the_walk_reads_each_subscript_from_tail_hook(patch_tail_hook, mu, nu):
     # a walk that computes a subscript of its own, and not the delta that
     # tail_hook gives, misses a shift of every delta by a constant
     shift = 100
@@ -199,7 +213,7 @@ def test_the_walk_reads_each_subscript_from_tail_hook(monkeypatch, mu, nu):
         delta, sign, after = tail_hook(m, tail, j)
         return delta + shift, sign, after
 
-    monkeypatch.setattr("immaculate.coverings.tail_hook", shifted)
+    patch_tail_hook(shifted)
     assert walk(mu, nu, len(mu)) == expected_walk
     assert list(enumerate_coverings(mu, nu)) == expected_coverings
     assert skew_prefix_decomposition(mu, 2) == expected_prefixes

@@ -203,6 +203,18 @@ def test_step_and_the_fold_read_one_rule():
                 hook.delta, hook.sign, hook.bumped[s:]), (d, p)
 
 
+def test_the_start_row_length_only_moves_delta():
+    # the move table keeps each tail's hooks from a start row of length 0
+    # and adds m to delta: sign and rows left must not depend on m
+    rng = random.Random(14)
+    for _ in range(500):
+        tail = tuple(sorted((rng.randint(0, 9) for _ in range(rng.randint(1, 10))),
+                            reverse=True))
+        m, j = rng.randint(-12, 12), rng.randint(1, len(tail))
+        delta, sign, after = tail_hook(0, tail, j)
+        assert tail_hook(m, tail, j) == (m + delta, sign, after), (m, tail, j)
+
+
 @pytest.fixture
 def step_calls(monkeypatch):
     """The arguments of every `step` call, under each name the package

@@ -239,6 +239,45 @@ def test_tail_moves_pinned(mu, nu, moves):
         assert sum(len(m) for level in levels for m in level.values()) == count
 
 
+@pytest.fixture
+def cleared_tail_hooks():
+    # the hook memo is process-wide: cleared first, its counts are this
+    # test's alone
+    coverings._tail_hooks.cache_clear()
+    return coverings._tail_hooks.cache_info
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_the_hook_memo_computes_each_tail_once(cleared_tail_hooks, n):
+    # a memo that never hits passes every output test; its misses tell it
+    # apart: the 2^(n-1) folds of one column reach the 2^n - 1 tails of
+    # the straight n-row shape and compute each of them once
+    monomial_to_dual_immaculate((1,) * n)
+    assert cleared_tail_hooks().misses == 2 ** n - 1
+
+
+def test_a_second_fold_reads_every_tail_from_the_memo(cleared_tail_hooks):
+    # the hooks of a tail do not depend on mu, and both shapes reach all
+    # 2^9 - 1 tails of nine rows from nu = 0: the second reads them all
+    immaculate_to_H((2, 5, 3, 1, 4, 2, 5, 3, 1))
+    assert cleared_tail_hooks()[:2] == (0, 511)
+    immaculate_to_H((1,) * 9)
+    assert cleared_tail_hooks()[:2] == (511, 511)
+
+
+def test_the_hook_memo_stays_bounded(cleared_tail_hooks):
+    # skew shapes with distinct inner shapes reach more tails than the
+    # memo keeps; it drops the least recent and every fold stays right
+    rng = random.Random(15)
+    for _ in range(60):
+        mu = tuple(rng.randint(-2, 12) for _ in range(7))
+        nu = tuple(sorted((rng.randint(0, 9) for _ in range(7)), reverse=True))
+        assert dict(skew_immaculate_to_H(mu, nu).items()) == ndet_expand(
+            jacobi_trudi_matrix(mu, nu)), (mu, nu)
+    info = cleared_tail_hooks()
+    assert info.misses > info.maxsize >= info.currsize
+
+
 def test_fold_validates_like_the_walk():
     with pytest.raises(ValueError, match=r"active rows of nu must be weakly "
                                          r"decreasing: \(1, 3, 0\)"):
@@ -479,6 +518,8 @@ _PART_CALLS = {
         lambda x: immaculate_to_ribbon_direct((x, x)), "alpha"),
     "ribbon_product": (lambda x: ribbon_product((2,), (x,)),
                        "ribbon product factor"),
+    "BasisExpr.coefficient": (
+        lambda x: immaculate_to_H((3, 1, 3)).coefficient((3, x, 3)), "index"),
 }
 _NOT_INT = {"float": 1.0, "half": 1.5, "bool": True, "str": "1"}
 
@@ -503,6 +544,24 @@ def test_every_entry_point_refuses_a_part_that_is_not_an_int(call, what, part):
     rule = "(a strong composition|a sequence of integers)"
     with pytest.raises(ValueError, match=rf"^{re.escape(what)} {shown} is not {rule}$"):
         call(part)
+
+
+@pytest.mark.parametrize("call, what, rule", [
+    (immaculate_to_H, "mu", "a sequence of integers"),
+    (build_diagram, "mu", "a sequence of integers"),
+    (lambda x: ribbon_product(x, (1,)), "ribbon product factor",
+     "a strong composition"),
+    (monomial_to_dual_immaculate, "alpha", "a strong composition"),
+], ids=["immaculate_to_H", "build_diagram", "ribbon_product",
+        "monomial_to_dual_immaculate"])
+@pytest.mark.parametrize("value", [5, None, 2.0])
+def test_every_entry_point_refuses_an_input_that_is_not_iterable(
+        call, what, rule, value):
+    # int_parts reads every integer input, so a scalar where a sequence
+    # belongs is a ValueError that names it, not a TypeError from tuple()
+    with pytest.raises(ValueError,
+                       match=rf"^{re.escape(what)} {value!r} is not {rule}$"):
+        call(value)
 
 
 def test_monomial_212():

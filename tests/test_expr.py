@@ -20,6 +20,15 @@ def test_add_disjoint_support():
     assert x.coefficient((3,)) == 1 and x.coefficient((2, 1)) == 1
 
 
+@pytest.mark.parametrize("index, coeff", [
+    ([2, 1], -2), ((1, 2), 0), ((), 0), ((0, 3), 0), ((-1,), 0)])
+def test_coefficient_reads_any_index_of_ints(index, coeff):
+    # coefficient refuses only parts that are not ints; an index that is
+    # not a term, with weak or negative parts too, reads 0
+    x = BasisExpr.term("H", (3,)) + BasisExpr.term("H", (2, 1), -2)
+    assert x.coefficient(index) == coeff
+
+
 def test_add_combines_coefficients():
     x = BasisExpr.term("H", (1,), 2) + BasisExpr.term("H", (1,), 3)
     assert x == BasisExpr.term("H", (1,), 5)
