@@ -236,7 +236,7 @@ def covering_from_permutation(
     Terminal cell r is (sigma_r + m, 1 + m) where m counts earlier sigma
     values exceeding sigma_r.
     """
-    mu = tuple(mu)
+    mu = int_parts(mu, "mu")
     sigma = int_parts(sigma, "sigma")
     if len(sigma) != len(mu):
         raise ValueError("sigma and mu must have equal length")

@@ -17,7 +17,11 @@ all, where there are k! coverings. The hooks are read from
 reads too, so the fold builds no `TunnelHook` record. The table takes
 each tail's hooks from the closed form `diagram.tail_hook` once per
 process, through the memo `coverings._tail_hooks`, and adds mu_s to
-their deltas: folds that reach the same tail share its hooks.
+their deltas: folds that reach the same tail share its hooks. The
+deltas of one tail's hooks strictly decrease, so only the delta 0 hook,
+which drops its part, can meet an index another hook made: each tail's
+sum of suffixes is built by plain writes and that one merge, and no zero
+coefficient is carried up to the next row.
 """
 
 from __future__ import annotations
@@ -44,8 +48,17 @@ def _fold_coverings(
     Two passes over the active tails of `_tail_moves`: forward, the tails
     each row reaches; backward, from row k up, each tail's signed dict of
     suffix indices, built from the dicts of the tails below it. A level is
-    dropped as soon as the one above it is built, and cancelled indices
-    are dropped once, at the top.
+    dropped as soon as the one above it is built.
+
+    The hook from row s to row p has delta mu_s - nu_p + p - s, which
+    strictly grows with p on the weakly decreasing tail: two hooks from
+    one tail never share a delta, so two with a nonzero delta never make
+    the same index. Their suffixes are written by plain assignment, in
+    ascending delta, each entry as nonzero as the suffix's own. Only the
+    delta 0 hook, the tail's last move and only under floor 0, drops its
+    part (H_0 = 1) and can land on an index another hook made; it is
+    merged after the others, and an index whose sum reaches 0 is deleted.
+    So no dict at any level holds a zero coefficient.
     """
     start = GbprDiagram._of_ints(mu, nu + (0,) * (len(mu) - len(nu)))
     _check_rows(start.k)
@@ -56,15 +69,31 @@ def _fold_coverings(
         suffixes: dict[IntSeq, dict[IntSeq, int]] = {}
         for tail, moves in levels.pop().items():
             terms: dict[IntSeq, int] = {}
-            get = terms.get
-            for delta, sign, after, _ in moves:
-                prefix = (delta,) if delta else ()
-                for index, coeff in below[after].items():
-                    index = prefix + index
-                    terms[index] = get(index, 0) + sign * coeff
+            merge = None
+            for delta, sign, after, _ in reversed(moves):
+                suffix = below[after]
+                if not delta:
+                    merge = sign, suffix
+                    continue
+                head = delta,
+                if sign > 0:
+                    for index, coeff in suffix.items():
+                        terms[head + index] = coeff
+                else:
+                    for index, coeff in suffix.items():
+                        terms[head + index] = -coeff
+            if merge:
+                sign, suffix = merge
+                get = terms.get
+                for index, coeff in suffix.items():
+                    coeff = get(index, 0) + sign * coeff
+                    if coeff:
+                        terms[index] = coeff
+                    else:
+                        del terms[index]
             suffixes[tail] = terms
         below = suffixes
-    return {index: coeff for index, coeff in below[start.nu].items() if coeff}
+    return below[start.nu]
 
 
 def immaculate_to_H(mu: Iterable[int]) -> BasisExpr:

@@ -4,8 +4,8 @@ coefficients.
 An expression is a finite sum ``sum(c_alpha * X_alpha)`` where X is one of
 the supported basis families and each index alpha is a tuple of positive
 integers (the empty tuple is the unit).  Coefficients are Python ints, so
-arithmetic is exact at any magnitude; bool is refused as a coefficient
-and as an index part.
+arithmetic is exact at any magnitude; bool is refused as a coefficient,
+as an index part and as a scalar factor.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class BasisExpr:
 
     @classmethod
     def term(cls, basis: str, index: Iterable[int], coeff: int = 1) -> "BasisExpr":
-        return cls(basis, {tuple(index): coeff})
+        return cls(basis, {int_parts(index, "index", strong=True): coeff})
 
     # -- inspection ---------------------------------------------------
 
@@ -122,6 +122,8 @@ class BasisExpr:
             raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
 
     def __add__(self, other: "BasisExpr") -> "BasisExpr":
+        if not isinstance(other, BasisExpr):
+            return NotImplemented
         self._check_basis(other)
         terms = dict(self._terms)
         for index, coeff in other._terms.items():
@@ -132,10 +134,12 @@ class BasisExpr:
         return BasisExpr(self.basis, {i: -c for i, c in self._terms.items()})
 
     def __sub__(self, other: "BasisExpr") -> "BasisExpr":
+        if not isinstance(other, BasisExpr):
+            return NotImplemented
         return self + (-other)
 
     def __rmul__(self, scalar: int) -> "BasisExpr":
-        if not isinstance(scalar, int):
+        if type(scalar) is not int:
             return NotImplemented
         return BasisExpr(self.basis, {i: scalar * c for i, c in self._terms.items()})
 
@@ -145,8 +149,10 @@ class BasisExpr:
         Only meaningful for the free bases: H concatenates in order
         (noncommutative), h_sym concatenates then resorts (commutative).
         """
-        if isinstance(other, int):
+        if type(other) is int:
             return other * self
+        if not isinstance(other, BasisExpr):
+            return NotImplemented
         self._check_basis(other)
         if self.basis not in ("H", "h_sym"):
             raise ValueError(f"no product rule for basis {self.basis}")

@@ -10,6 +10,7 @@ from immaculate.compositions import lehmer_code, permutation_sign
 from immaculate.coverings import (
     TunnelHookCovering,
     _tail_hooks,
+    _tail_moves,
     _walk,
     covering_from_permutation,
     covering_from_terminal_cells,
@@ -217,6 +218,27 @@ def test_the_walk_reads_each_subscript_from_tail_hook(patch_tail_hook, mu, nu):
     assert walk(mu, nu, len(mu)) == expected_walk
     assert list(enumerate_coverings(mu, nu)) == expected_coverings
     assert skew_prefix_decomposition(mu, 2) == expected_prefixes
+
+
+@pytest.mark.parametrize("least", [0, 1, -math.inf])
+def test_the_deltas_from_one_tail_strictly_decrease(least):
+    # the fold writes each hook's suffix by plain assignment: that needs
+    # the deltas of one tail's moves pairwise distinct, so only the delta 0
+    # move drops its part and can meet another move's index; strictly
+    # decreasing, they are, and under floor 0 only the last can be 0
+    rng = random.Random(38)
+    for n in range(200):
+        k = rng.randint(1, 8)
+        mu = tuple(rng.randint(-3, 6) for _ in range(k))
+        nu = () if n % 2 else tuple(
+            sorted((rng.randint(0, 5) for _ in range(rng.randint(1, k))),
+                   reverse=True))
+        for level in _tail_moves(build_diagram(mu, nu), least):
+            for tail, moves in level.items():
+                deltas = [move[0] for move in moves]
+                assert all(a > b for a, b in zip(deltas, deltas[1:])), (
+                    mu, nu, tail, deltas)
+                assert all(delta >= least for delta in deltas)
 
 
 def test_covering_from_permutation_example():

@@ -552,8 +552,12 @@ def test_every_entry_point_refuses_a_part_that_is_not_an_int(call, what, part):
     (lambda x: ribbon_product(x, (1,)), "ribbon product factor",
      "a strong composition"),
     (monomial_to_dual_immaculate, "alpha", "a strong composition"),
+    (lambda x: covering_from_permutation(x, (1,)), "mu",
+     "a sequence of integers"),
+    (lambda x: BasisExpr.term("H", x), "index", "a strong composition"),
 ], ids=["immaculate_to_H", "build_diagram", "ribbon_product",
-        "monomial_to_dual_immaculate"])
+        "monomial_to_dual_immaculate", "covering_from_permutation",
+        "BasisExpr.term"])
 @pytest.mark.parametrize("value", [5, None, 2.0])
 def test_every_entry_point_refuses_an_input_that_is_not_iterable(
         call, what, rule, value):

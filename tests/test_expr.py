@@ -114,8 +114,20 @@ def test_a_bad_index_is_named_even_among_keys_that_do_not_compare(terms, bad):
 
 
 def test_int_conversions_stay_exact():
-    x = True * BasisExpr.term("H", (2,), 3)
+    x = 10**30 * BasisExpr.term("H", (2,), 3) * 7
+    assert list(x.items()) == [((2,), 21 * 10**30)]
     assert [type(c) for _, c in x.items()] == [int]
+
+
+@pytest.mark.parametrize("call", [
+    lambda e: e + 1, lambda e: e - 1, lambda e: e * 2.0,
+    lambda e: True * e, lambda e: e * True,
+], ids=["add-int", "sub-int", "mul-float", "bool-mul", "mul-bool"])
+def test_arithmetic_refuses_an_operand_that_is_not_an_expression(call):
+    # an int scalar is the one operand that is not an expression; bool is
+    # refused as a scalar as it is as a coefficient
+    with pytest.raises(TypeError, match="unsupported operand"):
+        call(BasisExpr("H", {(1,): 1}))
 
 
 def test_json_roundtrip():
