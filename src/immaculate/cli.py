@@ -163,10 +163,9 @@ def _build_verify(p):
                    help="size cap, 1 to 8, for the sweeps that "
                         "take one (duality folds every composition of n "
                         "once per composition of n)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="one seed passed to every seeded check (default "
-                        "0); the test suite runs each check with its own "
-                        "default seed instead")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for every seeded check (default: each "
+                        "check's own)")
 
 
 def _add_branches(parser, dest, table, argv) -> None:

@@ -212,7 +212,10 @@ def covering_from_terminal_cells(
     start = build_diagram(mu, nu)
     k = start.k
     _check_rows(k)
-    cells = list(cells)
+    try:
+        cells = list(cells)
+    except TypeError:
+        raise ValueError(f"cells {cells!r} is not a sequence of cells") from None
     if len(cells) != k:
         raise ValueError(f"need {k} terminal cells, got {len(cells)}")
     mu = start.mu

@@ -100,7 +100,7 @@ def immaculate_to_ribbon_direct(
     prefix parts are all positive. A part that is not an int or is below
     1, or more than `coverings.MAX_ROWS` parts, raises.
     """
-    alpha = tuple(alpha)
+    alpha = int_parts(alpha, "alpha", strong=True)
     if im2rib_class(alpha) is None and not force:
         raise ValueError(
             f"{brief(alpha)} is outside the proven class for the direct "

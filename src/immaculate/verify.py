@@ -411,10 +411,6 @@ CHECKS = {
 }
 
 
-#: The checks that take a seed, and those that take a size cap.
-_SEEDED = ("bijection", "skew-oracle", "census", "signs", "roundtrips",
-           "diagram-invariants")
-_SIZED = ("oracle", "ribbon", "roundtrips", "duality", "forgetful")
 #: duality folds every composition of max_n once per composition of max_n
 MAX_N = 8
 
@@ -422,27 +418,28 @@ MAX_N = 8
 def run_suite(names=None, *, seed=None, max_n=None) -> list[dict]:
     """Run the named checks (all by default) and return their reports.
 
-    `seed`, when given, goes to each seeded check (bijection, skew-oracle,
-    census, signs, roundtrips, diagram-invariants) and `max_n` to each
-    sized one (oracle, ribbon, roundtrips, duality, forgetful); a check
-    given neither runs at its defaults. A max_n outside 1..MAX_N or an
-    unknown check name raises ValueError, and any other keyword TypeError.
+    `seed` and `max_n`, when given, go to each check whose own parameters
+    name them. A seed not an int, a max_n outside 1..MAX_N, names as one
+    str or an unknown check raise ValueError; any other keyword TypeError.
     """
     if max_n is not None and not 1 <= int_parts((max_n,), "max_n")[0] <= MAX_N:
         raise ValueError(f"--n (max_n) must be between 1 and {MAX_N}, "
                          f"got {max_n}")
+    if seed is not None:
+        int_parts((seed,), "seed")
+    if isinstance(names, str):
+        raise ValueError("names must be a list of check names, not a str")
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {list(brief(tuple(unknown)))}; "
                          f"known checks: {', '.join(CHECKS)}")
+    given = {"seed": seed, "max_n": max_n}
     reports = []
     for name in names:
-        kwargs = {}
-        if seed is not None and name in _SEEDED:
-            kwargs["seed"] = seed
-        if max_n is not None and name in _SIZED:
-            kwargs["max_n"] = max_n
-        reports.append(CHECKS[name](**kwargs))
+        code = CHECKS[name].__code__  # its parameters, without inspect
+        params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+        reports.append(CHECKS[name](**{key: given[key] for key in params
+                                       if given.get(key) is not None}))
     return reports

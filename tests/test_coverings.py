@@ -73,6 +73,9 @@ def test_replay_matches_enumeration():
     # the first hook absorbs row 1, so the second may not end there
     (((2, 1), (1, 4), (3, 1)), "(1, 4) is not a tunnel cell of the diagram"),
     (((1, 1), (2, 1)), "need 3 terminal cells, got 2"),
+    # cells that are not iterable name the input, not a TypeError
+    (5, "cells 5 is not a sequence of cells"),
+    (None, "cells None is not a sequence of cells"),
 ])
 def test_replay_rejects_bad_cells(cells, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -535,6 +535,10 @@ _NOT_INT = {"float": 1.0, "half": 1.5, "bool": True, "str": "1"}
                  id="run_suite-max_n-float"),
     pytest.param(lambda n: run_suite(["golden"], max_n=n), "max_n", True,
                  id="run_suite-max_n-bool"),
+] + [
+    pytest.param(lambda s: run_suite(["golden"], seed=s), "seed", part,
+                 id=f"run_suite-seed-{kind}")
+    for kind, part in (("str", "1"), ("half", 1.5), ("bool", True))
 ])
 def test_every_entry_point_refuses_a_part_that_is_not_an_int(call, what, part):
     # 1.0 == 1 and True == 1, so only the type tells them apart; the
@@ -555,9 +559,10 @@ def test_every_entry_point_refuses_a_part_that_is_not_an_int(call, what, part):
     (lambda x: covering_from_permutation(x, (1,)), "mu",
      "a sequence of integers"),
     (lambda x: BasisExpr.term("H", x), "index", "a strong composition"),
+    (immaculate_to_ribbon_direct, "alpha", "a strong composition"),
 ], ids=["immaculate_to_H", "build_diagram", "ribbon_product",
         "monomial_to_dual_immaculate", "covering_from_permutation",
-        "BasisExpr.term"])
+        "BasisExpr.term", "immaculate_to_ribbon_direct"])
 @pytest.mark.parametrize("value", [5, None, 2.0])
 def test_every_entry_point_refuses_an_input_that_is_not_iterable(
         call, what, rule, value):

@@ -5,7 +5,7 @@ from inspect import signature
 
 import pytest
 
-from immaculate import verify
+from immaculate import cli, verify
 
 NAMES = ["golden", "replay", "bijection", "oracle", "skew-oracle", "census",
          "signs", "ribbon", "roundtrips", "duality", "forgetful",
@@ -15,19 +15,31 @@ SEEDED = {"bijection", "skew-oracle", "census", "signs", "roundtrips",
 SIZED = {"oracle", "ribbon", "roundtrips", "duality", "forgetful"}
 
 
+#: What a recorder is given for a parameter that run_suite did not pass.
+UNSET = object()
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Swap every check for one that records the keywords it was given."""
+    """Swap every check for one with the real check's parameters that
+    records the keywords it was given and reports them as its detail."""
     seen = {}
 
-    def recorder(name):
-        def check(**kwargs):
-            seen[name] = kwargs
-            return {"check": name, "pass": True, "detail": "ok"}
-        return check
+    def recorder(name, params):
+        def record(**kwargs):
+            seen[name] = {k: v for k, v in kwargs.items() if v is not UNSET}
+            return {"check": name, "pass": True, "detail": repr(seen[name])}
+        return {
+            (): lambda: record(),
+            ("seed",): lambda seed=UNSET: record(seed=seed),
+            ("max_n",): lambda max_n=UNSET: record(max_n=max_n),
+            ("max_n", "seed"): lambda max_n=UNSET, seed=UNSET: record(
+                max_n=max_n, seed=seed),
+        }[params]
 
     for name in NAMES:
-        monkeypatch.setitem(verify.CHECKS, name, recorder(name))
+        params = tuple(signature(verify.CHECKS[name]).parameters)
+        monkeypatch.setitem(verify.CHECKS, name, recorder(name, params))
     return seen
 
 
@@ -61,6 +73,40 @@ def test_both_keywords_reach_a_check_that_takes_both(calls):
 def test_a_misspelt_keyword_raises(calls):
     with pytest.raises(TypeError):
         verify.run_suite(["duality"], max_nn=3)
+    assert calls == {}
+
+
+def test_a_new_check_gets_the_seed_by_its_parameter_alone(calls, monkeypatch):
+    # no list besides CHECKS names the checks that take a seed
+    def check_new(seed=0):
+        calls["new"] = {"seed": seed}
+        return {"check": "new", "pass": True, "detail": "ok"}
+
+    monkeypatch.setitem(verify.CHECKS, "new", check_new)
+    verify.run_suite(["new", "golden"], seed=7, max_n=2)
+    assert calls == {"new": {"seed": 7}, "golden": {}}
+
+
+@pytest.mark.parametrize("argv, kwargs", [((), {}),
+                                          (("--seed", "3"), {"seed": 3})])
+def test_cli_verify_runs_what_run_suite_runs(calls, capsys, argv, kwargs):
+    # without --seed each check runs at its own default, as in run_suite()
+    assert cli.main(["verify", *argv]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    via_cli = dict(calls)
+    calls.clear()
+    reports = verify.run_suite(**kwargs)
+    assert calls == via_cli
+    assert printed == [f"{r['check']:<20} pass  {r['detail']}" for r in reports]
+    assert len(printed) == len(NAMES)
+
+
+@pytest.mark.parametrize("names", ["golden", "bijection,signs", ""])
+def test_names_as_one_string_raise_before_any_check(calls, names):
+    # a str is iterable, so it would be read as one check per character
+    with pytest.raises(ValueError,
+                       match="^names must be a list of check names, not a str$"):
+        verify.run_suite(names)
     assert calls == {}
 
 
